@@ -4,9 +4,11 @@
 // predicate covering the remaining elements) and PTRUE (all elements);
 // see the assembly walk-throughs in paper Sec. IV.  Predicates have
 // byte granularity; for an element of width w only the lowest of its w
-// bits participates.
+// bits participates.  Every op here works on the packed 64-bit words of
+// svbool_t (sve_types.h), masked to the current VL.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 
 #include "sve/sve_detail.h"
@@ -19,17 +21,19 @@ template <typename E>
 inline svbool_t ptrue_impl() {
   record(InsnClass::kPredicate, "ptrue p", suffix<E>());
   svbool_t pg{};
-  const unsigned n = active_lanes<E>();
-  for (unsigned i = 0; i < n; ++i) set_pred_elem<E>(pg, i, true);
+  for (unsigned w = 0; w < svbool_t::kWords; ++w) pg.word[w] = pred_word_mask<E>(w);
   return pg;
 }
 
 template <typename E>
 inline svbool_t whilelt_impl(std::uint64_t begin, std::uint64_t end) {
   record(InsnClass::kPredicate, "whilelt p", suffix<E>());
+  const std::uint64_t n = active_lanes<E>();
+  const std::uint64_t k = begin < end ? (end - begin < n ? end - begin : n) : 0;
+  const unsigned bytes = static_cast<unsigned>(k * sizeof(E));
   svbool_t pg{};
-  const unsigned n = active_lanes<E>();
-  for (unsigned i = 0; i < n; ++i) set_pred_elem<E>(pg, i, begin + i < end);
+  for (unsigned w = 0; w < svbool_t::kWords; ++w)
+    pg.word[w] = kElemStartBits<E> & low_bytes_mask(bytes, w);
   return pg;
 }
 
@@ -37,9 +41,22 @@ template <typename E>
 inline std::uint64_t cntp_impl(const svbool_t& pg, const svbool_t& p) {
   record(InsnClass::kReduce, "cntp x, p, p", suffix<E>());
   std::uint64_t n = 0;
-  for (unsigned i = 0; i < active_lanes<E>(); ++i)
-    if (pred_elem<E>(pg, i) && pred_elem<E>(p, i)) ++n;
+  for (unsigned w = 0; w < svbool_t::kWords; ++w)
+    n += static_cast<unsigned>(
+        std::popcount(pg.word[w] & p.word[w] & pred_word_mask<E>(w)));
   return n;
+}
+
+/// Word-wise r = f(pg, a, b) over the bytes of the current VL; bits at or
+/// above vector_bytes() stay clear.
+template <typename F>
+inline svbool_t pred_logical(const svbool_t& pg, const svbool_t& a, const svbool_t& b,
+                             F f) {
+  svbool_t r{};
+  const unsigned vb = vector_bytes();
+  for (unsigned w = 0; w < svbool_t::kWords; ++w)
+    r.word[w] = f(pg.word[w], a.word[w], b.word[w]) & low_bytes_mask(vb, w);
+  return r;
 }
 
 }  // namespace detail
@@ -123,47 +140,46 @@ inline std::uint64_t svcntp_b64(const svbool_t& pg, const svbool_t& p) {
 // --- Predicate logicals (byte granularity, zeroing) -------------------------
 inline svbool_t svand_b_z(const svbool_t& pg, const svbool_t& a, const svbool_t& b) {
   detail::record(InsnClass::kPredicate, "and p, p/z, p, p", "b");
-  svbool_t r{};
-  for (unsigned i = 0; i < vector_bytes(); ++i)
-    r.byte[i] = pg.byte[i] && a.byte[i] && b.byte[i];
-  return r;
+  return detail::pred_logical(pg, a, b, [](std::uint64_t g, std::uint64_t x,
+                                           std::uint64_t y) { return g & x & y; });
 }
 
 inline svbool_t svorr_b_z(const svbool_t& pg, const svbool_t& a, const svbool_t& b) {
   detail::record(InsnClass::kPredicate, "orr p, p/z, p, p", "b");
-  svbool_t r{};
-  for (unsigned i = 0; i < vector_bytes(); ++i)
-    r.byte[i] = pg.byte[i] && (a.byte[i] || b.byte[i]);
-  return r;
+  return detail::pred_logical(pg, a, b, [](std::uint64_t g, std::uint64_t x,
+                                           std::uint64_t y) { return g & (x | y); });
 }
 
 inline svbool_t sveor_b_z(const svbool_t& pg, const svbool_t& a, const svbool_t& b) {
   detail::record(InsnClass::kPredicate, "eor p, p/z, p, p", "b");
-  svbool_t r{};
-  for (unsigned i = 0; i < vector_bytes(); ++i)
-    r.byte[i] = pg.byte[i] && (a.byte[i] != b.byte[i]);
-  return r;
+  return detail::pred_logical(pg, a, b, [](std::uint64_t g, std::uint64_t x,
+                                           std::uint64_t y) { return g & (x ^ y); });
 }
 
 inline svbool_t svnot_b_z(const svbool_t& pg, const svbool_t& a) {
   detail::record(InsnClass::kPredicate, "not p, p/z, p", "b");
-  svbool_t r{};
-  for (unsigned i = 0; i < vector_bytes(); ++i) r.byte[i] = pg.byte[i] && !a.byte[i];
-  return r;
+  return detail::pred_logical(pg, a, a, [](std::uint64_t g, std::uint64_t x,
+                                           std::uint64_t) { return g & ~x; });
 }
 
 // --- Predicate tests ---------------------------------------------------------
 inline bool svptest_any(const svbool_t& pg, const svbool_t& p) {
   detail::record(InsnClass::kPredicate, "ptest", "");
-  for (unsigned i = 0; i < vector_bytes(); ++i)
-    if (pg.byte[i] && p.byte[i]) return true;
-  return false;
+  const unsigned vb = vector_bytes();
+  std::uint64_t any = 0;
+  for (unsigned w = 0; w < svbool_t::kWords; ++w)
+    any |= pg.word[w] & p.word[w] & detail::low_bytes_mask(vb, w);
+  return any != 0;
 }
 
+/// Is p set at the first active byte of pg?
 inline bool svptest_first(const svbool_t& pg, const svbool_t& p) {
   detail::record(InsnClass::kPredicate, "ptest", "");
-  for (unsigned i = 0; i < vector_bytes(); ++i)
-    if (pg.byte[i]) return p.byte[i];
+  const unsigned vb = vector_bytes();
+  for (unsigned w = 0; w < svbool_t::kWords; ++w) {
+    const std::uint64_t g = pg.word[w] & detail::low_bytes_mask(vb, w);
+    if (g != 0) return (p.word[w] & g & -g) != 0;  // g & -g: lowest set bit
+  }
   return false;
 }
 
@@ -171,15 +187,18 @@ inline bool svptest_first(const svbool_t& pg, const svbool_t& p) {
 /// TRN1 on predicates: element 2i from a, element 2i+1 from b (both taken
 /// at even positions).  trn1(ptrue, pfalse) yields the "even elements only"
 /// predicate used to negate/accumulate real parts of interleaved complex
-/// data in the real-arithmetic backend (paper Sec. V-E).
+/// data in the real-arithmetic backend (paper Sec. V-E).  An even element
+/// and its odd neighbour always share a word, so b moves up by sizeof(E)
+/// bits without crossing one.
 template <typename E>
 inline svbool_t svtrn1_b(const svbool_t& a, const svbool_t& b) {
   detail::record(InsnClass::kPredicate, "trn1 p, p, p", detail::suffix<E>());
+  constexpr std::uint64_t kEven = detail::every_nth_bit(2 * sizeof(E));
   svbool_t r{};
-  const unsigned n = detail::active_lanes<E>();
-  for (unsigned i = 0; i < n / 2; ++i) {
-    detail::set_pred_elem<E>(r, 2 * i, detail::pred_elem<E>(a, 2 * i));
-    detail::set_pred_elem<E>(r, 2 * i + 1, detail::pred_elem<E>(b, 2 * i));
+  const unsigned vb = vector_bytes();
+  for (unsigned w = 0; w < svbool_t::kWords; ++w) {
+    const std::uint64_t even = kEven & detail::low_bytes_mask(vb, w);
+    r.word[w] = (a.word[w] & even) | ((b.word[w] & even) << sizeof(E));
   }
   return r;
 }
@@ -189,11 +208,12 @@ inline svbool_t svtrn1_b(const svbool_t& a, const svbool_t& b) {
 template <typename E>
 inline svbool_t svtrn2_b(const svbool_t& a, const svbool_t& b) {
   detail::record(InsnClass::kPredicate, "trn2 p, p, p", detail::suffix<E>());
+  constexpr std::uint64_t kOdd = detail::every_nth_bit(2 * sizeof(E)) << sizeof(E);
   svbool_t r{};
-  const unsigned n = detail::active_lanes<E>();
-  for (unsigned i = 0; i < n / 2; ++i) {
-    detail::set_pred_elem<E>(r, 2 * i, detail::pred_elem<E>(a, 2 * i + 1));
-    detail::set_pred_elem<E>(r, 2 * i + 1, detail::pred_elem<E>(b, 2 * i + 1));
+  const unsigned vb = vector_bytes();
+  for (unsigned w = 0; w < svbool_t::kWords; ++w) {
+    const std::uint64_t odd = kOdd & detail::low_bytes_mask(vb, w);
+    r.word[w] = ((a.word[w] & odd) >> sizeof(E)) | (b.word[w] & odd);
   }
   return r;
 }
@@ -203,10 +223,14 @@ inline svbool_t svtrn2_b(const svbool_t& a, const svbool_t& b) {
 /// element true, else all-false.
 inline svbool_t svbrkn_b_z(const svbool_t& pg, const svbool_t& a, const svbool_t& b) {
   detail::record(InsnClass::kPredicate, "brkn p, p/z, p, p", "b");
-  bool last = false;
-  for (unsigned i = 0; i < vector_bytes(); ++i)
-    if (pg.byte[i]) last = a.byte[i];
-  if (last) return b;
+  const unsigned vb = vector_bytes();
+  for (unsigned w = svbool_t::kWords; w-- > 0;) {
+    const std::uint64_t g = pg.word[w] & detail::low_bytes_mask(vb, w);
+    if (g != 0) {
+      const unsigned last = 63 - static_cast<unsigned>(std::countl_zero(g));
+      return (a.word[w] >> last) & 1u ? b : svbool_t{};
+    }
+  }
   return svbool_t{};
 }
 

@@ -9,9 +9,12 @@
 // *as if* they were sizeless: framework classes must never hold them as
 // data members -- that is what simd::vec<T> (an ordinary array) is for.
 //
-// Predicate registers hold one bit per *byte* of the vector, exactly like
-// hardware; an element is active iff the bit of its lowest-addressed byte
-// is set.
+// Predicate registers have the hardware layout: one bit per *byte* of the
+// vector (VL/8 bits; paper Sec. III), packed little-endian into four 64-bit
+// words that cover the 2048-bit maximum.  Bit b covers vector byte b; an
+// element of width w is active iff the bit of its lowest-addressed byte is
+// set, and producers never set the other w-1 bits or any bit at or above
+// vector_bytes().  Predicate instructions therefore work on whole words.
 #pragma once
 
 #include <cstdint>
@@ -43,9 +46,13 @@ using svuint16_t = svreg<std::uint16_t>;
 using svuint32_t = svreg<std::uint32_t>;
 using svuint64_t = svreg<std::uint64_t>;
 
-/// Predicate register: one bit (bool) per byte of the widest vector.
+/// Predicate register: one bit per byte of the widest vector.
 struct svbool_t {
-  bool byte[kMaxVectorBytes];
+  static constexpr unsigned kWords = static_cast<unsigned>(kMaxVectorBytes / 64);
+  std::uint64_t word[kWords];
+
+  /// The bit of vector byte b.
+  bool bit(unsigned b) const { return (word[b / 64] >> (b % 64)) & 1u; }
 };
 
 /// Tuples returned by structure loads (ACLE svfloat64x2_t and friends).
@@ -84,18 +91,45 @@ inline unsigned active_lanes() {
   return lanes<E>();
 }
 
+/// Every stride-th bit of a 64-bit word from bit 0, for strides 1..16.
+constexpr std::uint64_t every_nth_bit(unsigned stride) {
+  return ~std::uint64_t{0} / ((std::uint64_t{1} << stride) - 1);
+}
+
+/// Bits of one predicate word that hold element starts for E: every
+/// sizeof(E)-th bit (0xff..ff, 0x55..55, 0x11..11, 0x0101..01).
+template <typename E>
+inline constexpr std::uint64_t kElemStartBits = every_nth_bit(sizeof(E));
+
+/// Bits of predicate word w that cover the first `bytes` vector bytes.
+inline std::uint64_t low_bytes_mask(unsigned bytes, unsigned w) {
+  const unsigned lo = 64 * w;
+  if (bytes >= lo + 64) return ~std::uint64_t{0};
+  if (bytes <= lo) return 0;
+  return (std::uint64_t{1} << (bytes - lo)) - 1;
+}
+
+/// Element-start bits for E of predicate word w at the current VL: word w
+/// of PTRUE for E.
+template <typename E>
+inline std::uint64_t pred_word_mask(unsigned w) {
+  return kElemStartBits<E> & low_bytes_mask(vector_bytes(), w);
+}
+
 /// Is element i of type E active under predicate pg?
 template <typename E>
 inline bool pred_elem(const svbool_t& pg, unsigned i) {
-  return pg.byte[i * sizeof(E)];
+  return pg.bit(i * static_cast<unsigned>(sizeof(E)));
 }
 
-/// Set element i of type E in pg (only the lowest byte matters, but we set
-/// the whole element's byte range the way PTRUE/WHILELT do).
+/// Set element i of type E in pg (only the lowest byte's bit matters, but we
+/// clear the rest of the element's bits the way PTRUE/WHILELT do).
 template <typename E>
 inline void set_pred_elem(svbool_t& pg, unsigned i, bool value) {
-  pg.byte[i * sizeof(E)] = value;
-  for (unsigned b = 1; b < sizeof(E); ++b) pg.byte[i * sizeof(E) + b] = false;
+  const unsigned b = i * static_cast<unsigned>(sizeof(E));
+  constexpr std::uint64_t kElemBits = (std::uint64_t{1} << sizeof(E)) - 1;
+  std::uint64_t& word = pg.word[b / 64];
+  word = (word & ~(kElemBits << (b % 64))) | (std::uint64_t{value} << (b % 64));
 }
 
 /// Zero all lanes above the current VL so stale max-width storage can never
