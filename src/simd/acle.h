@@ -10,6 +10,9 @@
 // when the hardware vector length matches VLB (paper Sec. V-B: "our
 // implementation is bound to the vector length of the target hardware").
 // check_vl() enforces that contract at run time against the simulator.
+// The vector types follow ACLE's arm_sve_vector_bits(8*VLB): fixed-length
+// registers of exactly VLB bytes (sve_types.h), which every intrinsic also
+// checks against the simulated vector length.
 #pragma once
 
 #include <cstdint>
@@ -47,13 +50,14 @@ template <typename T, std::size_t VLB>
 struct acle {
   static_assert(is_vec_element<T>);
 
-  /// The ACLE ("sizeless") vector type: function-local use only.
-  using vt = sve::svreg<T>;
+  /// The fixed-length ACLE vector type (arm_sve_vector_bits): function-local
+  /// use only.
+  using vt = sve::svreg<T, VLB>;
   /// Unsigned integer type of the same width, for TBL index vectors.
   using index_t = std::conditional_t<
       sizeof(T) == 8, std::uint64_t,
       std::conditional_t<sizeof(T) == 4, std::uint32_t, std::uint16_t>>;
-  using ivt = sve::svreg<index_t>;
+  using ivt = sve::svreg<index_t, VLB>;
 
   static constexpr unsigned lanes = static_cast<unsigned>(vec<T, VLB>::size);
 
@@ -87,15 +91,15 @@ struct acle {
     return sve::svtrn1_b<T>(sve::svpfalse_b(), sve::svptrue<T>());
   }
 
-  static vt zero() { return sve::svdup<T>(T{}); }
+  static vt zero() { return sve::svdup<T, VLB>(T{}); }
 
-  static vt load(const T* p) { return sve::svld1(pg1(), p); }
+  static vt load(const T* p) { return sve::svld1<T, VLB>(pg1(), p); }
   static void store(T* p, const vt& v) { sve::svst1(pg1(), p, v); }
 
   /// TBL index vector swapping adjacent lanes (re <-> im).
   static ivt swap_index() {
     static constexpr detail::SwapTable<index_t, vec<T, VLB>::size> table{};
-    return sve::svld1(pg1(), table.idx);
+    return sve::svld1<index_t, VLB>(pg1(), table.idx);
   }
 
   /// TBL index vector for the lane permutation i -> i XOR d (d a power of
@@ -117,7 +121,7 @@ struct acle {
     while ((1u << log2d) < d) ++log2d;
     SVELAT_ASSERT_MSG((1u << log2d) == d && d < lanes,
                       "permute distance must be a power of two below the lane count");
-    return sve::svld1(pg1(), tables[log2d].idx);
+    return sve::svld1<index_t, VLB>(pg1(), tables[log2d].idx);
   }
 };
 

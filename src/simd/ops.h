@@ -188,14 +188,17 @@ struct Ops<Generic> {
 };
 
 // ---------------------------------------------------------------------------
-// Shared ACLE real arithmetic (used by both SVE backends).
+// Shared ACLE real arithmetic (used by both SVE backends).  The SVE paths
+// load and store through fixed-length registers of VLB bytes (acle<T, VLB>);
+// their outputs start value-initialized because a predicated store only
+// writes the active lanes.
 // ---------------------------------------------------------------------------
 namespace detail {
 struct SveRealArith {
   template <typename T, std::size_t VLB>
   static vec<T, VLB> zero() {
     using A = acle<T, VLB>;
-    vec<T, VLB> out;
+    vec<T, VLB> out{};
     A::store(out.v, A::zero());
     return out;
   }
@@ -204,8 +207,8 @@ struct SveRealArith {
   static vec<T, VLB> splat_real(T s) {
     using A = acle<T, VLB>;
     A::check_vl();
-    vec<T, VLB> out;
-    A::store(out.v, sve::svdup<T>(s));
+    vec<T, VLB> out{};
+    A::store(out.v, sve::svdup<T, VLB>(s));
     return out;
   }
 
@@ -213,11 +216,11 @@ struct SveRealArith {
   static vec<T, VLB> splat_complex(T re, T im) {
     using A = acle<T, VLB>;
     A::check_vl();
-    vec<T, VLB> out;
+    vec<T, VLB> out{};
     // dup the real part everywhere, then overwrite odd lanes (merge) with
     // the imaginary part.
-    typename A::vt v = sve::svdup<T>(re);
-    v = sve::svsel(A::pg_even(), v, sve::svdup<T>(im));
+    typename A::vt v = sve::svdup<T, VLB>(re);
+    v = sve::svsel(A::pg_even(), v, sve::svdup<T, VLB>(im));
     A::store(out.v, v);
     return out;
   }
@@ -226,7 +229,7 @@ struct SveRealArith {
   static vec<T, VLB> add(const vec<T, VLB>& x, const vec<T, VLB>& y) {
     using A = acle<T, VLB>;
     const sve::svbool_t pg = A::pg1();
-    vec<T, VLB> out;
+    vec<T, VLB> out{};
     A::store(out.v, sve::svadd_x(pg, A::load(x.v), A::load(y.v)));
     return out;
   }
@@ -235,7 +238,7 @@ struct SveRealArith {
   static vec<T, VLB> sub(const vec<T, VLB>& x, const vec<T, VLB>& y) {
     using A = acle<T, VLB>;
     const sve::svbool_t pg = A::pg1();
-    vec<T, VLB> out;
+    vec<T, VLB> out{};
     A::store(out.v, sve::svsub_x(pg, A::load(x.v), A::load(y.v)));
     return out;
   }
@@ -244,7 +247,7 @@ struct SveRealArith {
   static vec<T, VLB> neg(const vec<T, VLB>& x) {
     using A = acle<T, VLB>;
     const sve::svbool_t pg = A::pg1();
-    vec<T, VLB> out;
+    vec<T, VLB> out{};
     A::store(out.v, sve::svneg_x(pg, A::load(x.v)));
     return out;
   }
@@ -253,7 +256,7 @@ struct SveRealArith {
   static vec<T, VLB> mul(const vec<T, VLB>& x, const vec<T, VLB>& y) {
     using A = acle<T, VLB>;
     const sve::svbool_t pg = A::pg1();
-    vec<T, VLB> out;
+    vec<T, VLB> out{};
     A::store(out.v, sve::svmul_x(pg, A::load(x.v), A::load(y.v)));
     return out;
   }
@@ -262,8 +265,8 @@ struct SveRealArith {
   static vec<T, VLB> scale(const vec<T, VLB>& x, T s) {
     using A = acle<T, VLB>;
     const sve::svbool_t pg = A::pg1();
-    vec<T, VLB> out;
-    A::store(out.v, sve::svmul_x(pg, A::load(x.v), sve::svdup<T>(s)));
+    vec<T, VLB> out{};
+    A::store(out.v, sve::svmul_x(pg, A::load(x.v), sve::svdup<T, VLB>(s)));
     return out;
   }
 
@@ -272,7 +275,7 @@ struct SveRealArith {
     // Negate the imaginary (odd) lanes: one predicated FNEG.
     using A = acle<T, VLB>;
     A::check_vl();
-    vec<T, VLB> out;
+    vec<T, VLB> out{};
     A::store(out.v, sve::svneg_x(A::pg_odd(), A::load(x.v)));
     return out;
   }
@@ -281,7 +284,7 @@ struct SveRealArith {
   static vec<T, VLB> permute_xor(const vec<T, VLB>& x, std::size_t d) {
     using A = acle<T, VLB>;
     A::check_vl();
-    vec<T, VLB> out;
+    vec<T, VLB> out{};
     if (2 * d == A::lanes) {
       // Swapping the two halves is EXT by half the vector.
       const typename A::vt v = A::load(x.v);
@@ -320,11 +323,11 @@ struct Ops<SveFcmla> : detail::SveRealArith {
     using A = acle<T, VLB>;
     const sve::svbool_t pg1 = A::pg1();
     const typename A::vt zv = A::zero();
-    const typename A::vt xv = sve::svld1(pg1, x.v);
-    const typename A::vt yv = sve::svld1(pg1, y.v);
+    const typename A::vt xv = sve::svld1<T, VLB>(pg1, x.v);
+    const typename A::vt yv = sve::svld1<T, VLB>(pg1, y.v);
     typename A::vt rv = sve::svcmla_x(pg1, zv, xv, yv, 90);
     rv = sve::svcmla_x(pg1, rv, xv, yv, 0);
-    vec<T, VLB> out;
+    vec<T, VLB> out{};
     sve::svst1(pg1, out.v, rv);
     return out;
   }
@@ -334,12 +337,12 @@ struct Ops<SveFcmla> : detail::SveRealArith {
                                  const vec<T, VLB>& y) {
     using A = acle<T, VLB>;
     const sve::svbool_t pg1 = A::pg1();
-    const typename A::vt xv = sve::svld1(pg1, x.v);
-    const typename A::vt yv = sve::svld1(pg1, y.v);
-    typename A::vt rv = sve::svld1(pg1, acc.v);
+    const typename A::vt xv = sve::svld1<T, VLB>(pg1, x.v);
+    const typename A::vt yv = sve::svld1<T, VLB>(pg1, y.v);
+    typename A::vt rv = sve::svld1<T, VLB>(pg1, acc.v);
     rv = sve::svcmla_x(pg1, rv, xv, yv, 90);
     rv = sve::svcmla_x(pg1, rv, xv, yv, 0);
-    vec<T, VLB> out;
+    vec<T, VLB> out{};
     sve::svst1(pg1, out.v, rv);
     return out;
   }
@@ -350,11 +353,11 @@ struct Ops<SveFcmla> : detail::SveRealArith {
     using A = acle<T, VLB>;
     const sve::svbool_t pg1 = A::pg1();
     const typename A::vt zv = A::zero();
-    const typename A::vt xv = sve::svld1(pg1, x.v);
-    const typename A::vt yv = sve::svld1(pg1, y.v);
+    const typename A::vt xv = sve::svld1<T, VLB>(pg1, x.v);
+    const typename A::vt yv = sve::svld1<T, VLB>(pg1, y.v);
     typename A::vt rv = sve::svcmla_x(pg1, zv, xv, yv, 0);
     rv = sve::svcmla_x(pg1, rv, xv, yv, 270);
-    vec<T, VLB> out;
+    vec<T, VLB> out{};
     sve::svst1(pg1, out.v, rv);
     return out;
   }
@@ -364,12 +367,12 @@ struct Ops<SveFcmla> : detail::SveRealArith {
                                       const vec<T, VLB>& y) {
     using A = acle<T, VLB>;
     const sve::svbool_t pg1 = A::pg1();
-    const typename A::vt xv = sve::svld1(pg1, x.v);
-    const typename A::vt yv = sve::svld1(pg1, y.v);
-    typename A::vt rv = sve::svld1(pg1, acc.v);
+    const typename A::vt xv = sve::svld1<T, VLB>(pg1, x.v);
+    const typename A::vt yv = sve::svld1<T, VLB>(pg1, y.v);
+    typename A::vt rv = sve::svld1<T, VLB>(pg1, acc.v);
     rv = sve::svcmla_x(pg1, rv, xv, yv, 0);
     rv = sve::svcmla_x(pg1, rv, xv, yv, 270);
-    vec<T, VLB> out;
+    vec<T, VLB> out{};
     sve::svst1(pg1, out.v, rv);
     return out;
   }
@@ -379,8 +382,9 @@ struct Ops<SveFcmla> : detail::SveRealArith {
     // i*x = 0 + i*x: a single FCADD #90 against a zero vector.
     using A = acle<T, VLB>;
     const sve::svbool_t pg1 = A::pg1();
-    vec<T, VLB> out;
-    sve::svst1(pg1, out.v, sve::svcadd_x(pg1, A::zero(), sve::svld1(pg1, x.v), 90));
+    vec<T, VLB> out{};
+    sve::svst1(pg1, out.v,
+               sve::svcadd_x(pg1, A::zero(), sve::svld1<T, VLB>(pg1, x.v), 90));
     return out;
   }
 
@@ -388,8 +392,9 @@ struct Ops<SveFcmla> : detail::SveRealArith {
   static vec<T, VLB> times_minus_i(const vec<T, VLB>& x) {
     using A = acle<T, VLB>;
     const sve::svbool_t pg1 = A::pg1();
-    vec<T, VLB> out;
-    sve::svst1(pg1, out.v, sve::svcadd_x(pg1, A::zero(), sve::svld1(pg1, x.v), 270));
+    vec<T, VLB> out{};
+    sve::svst1(pg1, out.v,
+               sve::svcadd_x(pg1, A::zero(), sve::svld1<T, VLB>(pg1, x.v), 270));
     return out;
   }
 };
@@ -427,7 +432,7 @@ struct Ops<SveReal> : detail::SveRealArith {
     // Swap lanes (TBL) then negate the new real (even) lanes.
     using A = acle<T, VLB>;
     A::check_vl();
-    vec<T, VLB> out;
+    vec<T, VLB> out{};
     typename A::vt v = sve::svtbl(A::load(x.v), A::swap_index());
     v = sve::svneg_x(A::pg_even(), v);
     A::store(out.v, v);
@@ -438,7 +443,7 @@ struct Ops<SveReal> : detail::SveRealArith {
   static vec<T, VLB> times_minus_i(const vec<T, VLB>& x) {
     using A = acle<T, VLB>;
     A::check_vl();
-    vec<T, VLB> out;
+    vec<T, VLB> out{};
     typename A::vt v = sve::svtbl(A::load(x.v), A::swap_index());
     v = sve::svneg_x(A::pg_odd(), v);
     A::store(out.v, v);
@@ -466,13 +471,13 @@ struct Ops<SveReal> : detail::SveRealArith {
     const sve::svbool_t even = A::pg_even();
     const sve::svbool_t odd = A::pg_odd();
 
-    const typename A::vt xv = sve::svld1(pg1, x.v);
-    const typename A::vt yv = sve::svld1(pg1, y.v);
+    const typename A::vt xv = sve::svld1<T, VLB>(pg1, x.v);
+    const typename A::vt yv = sve::svld1<T, VLB>(pg1, y.v);
     const typename A::vt x_re2 = sve::svtrn1(xv, xv);
     const typename A::vt x_im2 = sve::svtrn2(xv, xv);
     const typename A::vt y_sw = sve::svtbl(yv, A::swap_index());
 
-    typename A::vt r = (acc != nullptr) ? sve::svld1(pg1, acc->v) : A::zero();
+    typename A::vt r = (acc != nullptr) ? sve::svld1<T, VLB>(pg1, acc->v) : A::zero();
     if (!conjugate_x) {
       r = sve::svmls_x(even, r, x_im2, y_sw);
       r = sve::svmla_x(odd, r, x_im2, y_sw);
@@ -482,7 +487,7 @@ struct Ops<SveReal> : detail::SveRealArith {
       r = sve::svmla_x(even, r, x_im2, y_sw);
       r = sve::svmls_x(odd, r, x_im2, y_sw);
     }
-    vec<T, VLB> out;
+    vec<T, VLB> out{};
     sve::svst1(pg1, out.v, r);
     return out;
   }

@@ -7,7 +7,9 @@
 // SVE_VECTOR_LENGTH, and uses ACLE only inside functions, loading from and
 // storing to this array.  Our VLB template parameter plays the role of
 // SVE_VECTOR_LENGTH (bytes); the paper enables 16, 32 and 64 (128-, 256-
-// and 512-bit vectors).
+// and 512-bit vectors).  Inside those functions the registers are
+// fixed-length too: acle<T, VLB>::vt is svreg<T, VLB>, ACLE's
+// arm_sve_vector_bits(8*VLB) type, holding exactly one vec<T, VLB>.
 #pragma once
 
 #include <complex>

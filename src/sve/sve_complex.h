@@ -22,14 +22,15 @@ namespace svelat::sve {
 
 namespace detail {
 
-template <typename E>
-inline svreg<E> fcmla_impl(const svbool_t& pg, const svreg<E>& acc, const svreg<E>& a,
-                           const svreg<E>& b, int rot) {
+template <typename E, std::size_t Bytes>
+inline svreg<E, Bytes> fcmla_impl(const svbool_t& pg, const svreg<E, Bytes>& acc,
+                                  const svreg<E, Bytes>& a, const svreg<E, Bytes>& b,
+                                  int rot) {
   SVELAT_ASSERT_MSG(rot == 0 || rot == 90 || rot == 180 || rot == 270,
                     "FCMLA rotation must be 0, 90, 180 or 270");
   record_imm(InsnClass::kFCmla, "fcmla z, p/m, z, z", suffix<E>(), rot);
-  svreg<E> r;
-  const unsigned n = active_lanes<E>();
+  svreg<E, Bytes> r;
+  const unsigned n = reg_lanes<E, Bytes>();
   for (unsigned p = 0; p + 1 < n; p += 2) {
     const unsigned even = p;
     const unsigned odd = p + 1;
@@ -65,13 +66,13 @@ inline svreg<E> fcmla_impl(const svbool_t& pg, const svreg<E>& acc, const svreg<
   return r;
 }
 
-template <typename E>
-inline svreg<E> fcadd_impl(const svbool_t& pg, const svreg<E>& a, const svreg<E>& b,
-                           int rot) {
+template <typename E, std::size_t Bytes>
+inline svreg<E, Bytes> fcadd_impl(const svbool_t& pg, const svreg<E, Bytes>& a,
+                                  const svreg<E, Bytes>& b, int rot) {
   SVELAT_ASSERT_MSG(rot == 90 || rot == 270, "FCADD rotation must be 90 or 270");
   record_imm(InsnClass::kFCadd, "fcadd z, p/m, z, z", suffix<E>(), rot);
-  svreg<E> r;
-  const unsigned n = active_lanes<E>();
+  svreg<E, Bytes> r;
+  const unsigned n = reg_lanes<E, Bytes>();
   for (unsigned p = 0; p + 1 < n; p += 2) {
     const unsigned even = p;
     const unsigned odd = p + 1;
@@ -93,22 +94,24 @@ inline svreg<E> fcadd_impl(const svbool_t& pg, const svreg<E>& a, const svreg<E>
 
 /// Fused complex multiply-accumulate with rotation (merging; _x deterministic
 /// as merge, cf. sve_arith.h).
-template <typename E>
-inline svreg<E> svcmla_x(const svbool_t& pg, const svreg<E>& acc, const svreg<E>& a,
-                         const svreg<E>& b, int rot) {
+template <typename E, std::size_t Bytes>
+inline svreg<E, Bytes> svcmla_x(const svbool_t& pg, const svreg<E, Bytes>& acc,
+                                const svreg<E, Bytes>& a, const svreg<E, Bytes>& b,
+                                int rot) {
   return detail::fcmla_impl<E>(pg, acc, a, b, rot);
 }
 
-template <typename E>
-inline svreg<E> svcmla_m(const svbool_t& pg, const svreg<E>& acc, const svreg<E>& a,
-                         const svreg<E>& b, int rot) {
+template <typename E, std::size_t Bytes>
+inline svreg<E, Bytes> svcmla_m(const svbool_t& pg, const svreg<E, Bytes>& acc,
+                                const svreg<E, Bytes>& a, const svreg<E, Bytes>& b,
+                                int rot) {
   return detail::fcmla_impl<E>(pg, acc, a, b, rot);
 }
 
 /// Complex add with rotation: a + i*b (rot 90) or a - i*b (rot 270).
-template <typename E>
-inline svreg<E> svcadd_x(const svbool_t& pg, const svreg<E>& a, const svreg<E>& b,
-                         int rot) {
+template <typename E, std::size_t Bytes>
+inline svreg<E, Bytes> svcadd_x(const svbool_t& pg, const svreg<E, Bytes>& a,
+                                const svreg<E, Bytes>& b, int rot) {
   return detail::fcadd_impl<E>(pg, a, b, rot);
 }
 

@@ -24,13 +24,13 @@ inline svreg<Narrow> fcvt_narrow(const svbool_t& pg, const svreg<Wide>& a) {
   static_assert(R > 1);
   record(InsnClass::kConvert, "fcvt z, p/m, z", suffix<Narrow>());
   svreg<Narrow> r;
-  const unsigned wide_n = active_lanes<Wide>();
+  const unsigned wide_n = lanes<Wide>();
   for (unsigned i = 0; i < wide_n; ++i) {
     const bool act = pred_elem<Wide>(pg, i);
     for (unsigned s = 0; s < R; ++s) r.lane[R * i + s] = Narrow{};
     if (act) r.lane[R * i] = static_cast<Narrow>(static_cast<float>(a.lane[i]));
   }
-  clear_inactive_storage(r, active_lanes<Narrow>());
+  clear_inactive_storage(r, lanes<Narrow>());
   return r;
 }
 
@@ -41,7 +41,7 @@ inline svreg<Wide> fcvt_widen(const svbool_t& pg, const svreg<Narrow>& a) {
   static_assert(R > 1);
   record(InsnClass::kConvert, "fcvt z, p/m, z", suffix<Wide>());
   svreg<Wide> r;
-  const unsigned wide_n = active_lanes<Wide>();
+  const unsigned wide_n = lanes<Wide>();
   for (unsigned i = 0; i < wide_n; ++i) {
     r.lane[i] = pred_elem<Wide>(pg, i)
                     ? static_cast<Wide>(static_cast<float>(a.lane[R * i]))
@@ -67,13 +67,13 @@ inline svfloat16_t svcvt_f16_f32_x(const svbool_t& pg, const svfloat32_t& a) {
   constexpr unsigned R = 2;
   detail::record(InsnClass::kConvert, "fcvt z, p/m, z", "h");
   svfloat16_t r;
-  const unsigned wide_n = detail::active_lanes<float32_t>();
+  const unsigned wide_n = lanes<float32_t>();
   for (unsigned i = 0; i < wide_n; ++i) {
     r.lane[R * i + 1] = float16_t{};
     r.lane[R * i] =
         detail::pred_elem<float32_t>(pg, i) ? float16_t(a.lane[i]) : float16_t{};
   }
-  detail::clear_inactive_storage(r, detail::active_lanes<float16_t>());
+  detail::clear_inactive_storage(r, lanes<float16_t>());
   return r;
 }
 
@@ -81,7 +81,7 @@ inline svfloat32_t svcvt_f32_f16_x(const svbool_t& pg, const svfloat16_t& a) {
   constexpr unsigned R = 2;
   detail::record(InsnClass::kConvert, "fcvt z, p/m, z", "s");
   svfloat32_t r;
-  const unsigned wide_n = detail::active_lanes<float32_t>();
+  const unsigned wide_n = lanes<float32_t>();
   for (unsigned i = 0; i < wide_n; ++i) {
     r.lane[i] = detail::pred_elem<float32_t>(pg, i) ? static_cast<float>(a.lane[R * i])
                                                     : 0.0f;
@@ -95,13 +95,13 @@ inline svfloat16_t svcvt_f16_f64_x(const svbool_t& pg, const svfloat64_t& a) {
   constexpr unsigned R = 4;
   detail::record(InsnClass::kConvert, "fcvt z, p/m, z", "h");
   svfloat16_t r;
-  const unsigned wide_n = detail::active_lanes<float64_t>();
+  const unsigned wide_n = lanes<float64_t>();
   for (unsigned i = 0; i < wide_n; ++i) {
     for (unsigned s = 0; s < R; ++s) r.lane[R * i + s] = float16_t{};
     if (detail::pred_elem<float64_t>(pg, i))
       r.lane[R * i] = float16_t(static_cast<float>(a.lane[i]));
   }
-  detail::clear_inactive_storage(r, detail::active_lanes<float16_t>());
+  detail::clear_inactive_storage(r, lanes<float16_t>());
   return r;
 }
 
@@ -109,7 +109,7 @@ inline svfloat64_t svcvt_f64_f16_x(const svbool_t& pg, const svfloat16_t& a) {
   constexpr unsigned R = 4;
   detail::record(InsnClass::kConvert, "fcvt z, p/m, z", "d");
   svfloat64_t r;
-  const unsigned wide_n = detail::active_lanes<float64_t>();
+  const unsigned wide_n = lanes<float64_t>();
   for (unsigned i = 0; i < wide_n; ++i) {
     r.lane[i] = detail::pred_elem<float64_t>(pg, i)
                     ? static_cast<double>(static_cast<float>(a.lane[R * i]))

@@ -10,18 +10,21 @@
 // current vector length.
 #pragma once
 
+#include <type_traits>
+
 #include "sve/sve_detail.h"
 
 namespace svelat::sve {
 
 /// EXT: extract a window starting at element offset `imm` from the
 /// concatenation (a:b).  imm counts elements, as in the ACLE wrapper.
-template <typename E>
-inline svreg<E> svext(const svreg<E>& a, const svreg<E>& b, unsigned imm) {
+template <typename E, std::size_t Bytes>
+inline svreg<E, Bytes> svext(const svreg<E, Bytes>& a, const svreg<E, Bytes>& b,
+                             unsigned imm) {
   detail::record_imm(InsnClass::kPermute, "ext z, z, z", "b",
                      static_cast<int>(imm * sizeof(E)));
-  svreg<E> r;
-  const unsigned n = detail::active_lanes<E>();
+  svreg<E, Bytes> r;
+  const unsigned n = detail::reg_lanes<E, Bytes>();
   SVELAT_DEBUG_ASSERT(imm < n);
   for (unsigned i = 0; i < n; ++i) {
     const unsigned j = i + imm;
@@ -32,23 +35,23 @@ inline svreg<E> svext(const svreg<E>& a, const svreg<E>& b, unsigned imm) {
 }
 
 /// REV: reverse all elements.
-template <typename E>
-inline svreg<E> svrev(const svreg<E>& a) {
+template <typename E, std::size_t Bytes>
+inline svreg<E, Bytes> svrev(const svreg<E, Bytes>& a) {
   detail::record(InsnClass::kPermute, "rev z, z", detail::suffix<E>());
-  svreg<E> r;
-  const unsigned n = detail::active_lanes<E>();
+  svreg<E, Bytes> r;
+  const unsigned n = detail::reg_lanes<E, Bytes>();
   for (unsigned i = 0; i < n; ++i) r.lane[i] = a.lane[n - 1 - i];
   detail::clear_inactive_storage(r, n);
   return r;
 }
 
 namespace detail {
-template <typename E, typename I>
-inline svreg<E> tbl_impl(const svreg<E>& a, const svreg<I>& idx) {
+template <typename E, typename I, std::size_t Bytes>
+inline svreg<E, Bytes> tbl_impl(const svreg<E, Bytes>& a, const svreg<I, Bytes>& idx) {
   static_assert(sizeof(E) == sizeof(I), "TBL index width must match element width");
   record(InsnClass::kPermute, "tbl z, {z}, z", suffix<E>());
-  svreg<E> r;
-  const unsigned n = active_lanes<E>();
+  svreg<E, Bytes> r;
+  const unsigned n = reg_lanes<E, Bytes>();
   for (unsigned i = 0; i < n; ++i) {
     const auto j = idx.lane[i];
     r.lane[i] = (static_cast<std::uint64_t>(j) < n) ? a.lane[j] : E{};  // OOR -> 0
@@ -59,7 +62,9 @@ inline svreg<E> tbl_impl(const svreg<E>& a, const svreg<I>& idx) {
 }  // namespace detail
 
 /// TBL: arbitrary permutation via an index vector; out-of-range indices
-/// produce zero (hardware behaviour).
+/// produce zero (hardware behaviour).  The typed overloads are the ACLE
+/// signatures of the max-width types; the template takes any register width
+/// with an unsigned index vector of the element width.
 inline svfloat64_t svtbl(const svfloat64_t& a, const svuint64_t& idx) {
   return detail::tbl_impl(a, idx);
 }
@@ -75,14 +80,19 @@ inline svuint64_t svtbl(const svuint64_t& a, const svuint64_t& idx) {
 inline svuint32_t svtbl(const svuint32_t& a, const svuint32_t& idx) {
   return detail::tbl_impl(a, idx);
 }
+template <typename E, typename I, std::size_t Bytes>
+  requires std::is_unsigned_v<I>
+inline svreg<E, Bytes> svtbl(const svreg<E, Bytes>& a, const svreg<I, Bytes>& idx) {
+  return detail::tbl_impl(a, idx);
+}
 
 // --- ZIP / UZP / TRN ---------------------------------------------------------
 /// ZIP1: interleave the low halves of a and b.
-template <typename E>
-inline svreg<E> svzip1(const svreg<E>& a, const svreg<E>& b) {
+template <typename E, std::size_t Bytes>
+inline svreg<E, Bytes> svzip1(const svreg<E, Bytes>& a, const svreg<E, Bytes>& b) {
   detail::record(InsnClass::kPermute, "zip1 z, z, z", detail::suffix<E>());
-  svreg<E> r;
-  const unsigned n = detail::active_lanes<E>();
+  svreg<E, Bytes> r;
+  const unsigned n = detail::reg_lanes<E, Bytes>();
   for (unsigned i = 0; i < n / 2; ++i) {
     r.lane[2 * i] = a.lane[i];
     r.lane[2 * i + 1] = b.lane[i];
@@ -92,11 +102,11 @@ inline svreg<E> svzip1(const svreg<E>& a, const svreg<E>& b) {
 }
 
 /// ZIP2: interleave the high halves of a and b.
-template <typename E>
-inline svreg<E> svzip2(const svreg<E>& a, const svreg<E>& b) {
+template <typename E, std::size_t Bytes>
+inline svreg<E, Bytes> svzip2(const svreg<E, Bytes>& a, const svreg<E, Bytes>& b) {
   detail::record(InsnClass::kPermute, "zip2 z, z, z", detail::suffix<E>());
-  svreg<E> r;
-  const unsigned n = detail::active_lanes<E>();
+  svreg<E, Bytes> r;
+  const unsigned n = detail::reg_lanes<E, Bytes>();
   for (unsigned i = 0; i < n / 2; ++i) {
     r.lane[2 * i] = a.lane[n / 2 + i];
     r.lane[2 * i + 1] = b.lane[n / 2 + i];
@@ -106,11 +116,11 @@ inline svreg<E> svzip2(const svreg<E>& a, const svreg<E>& b) {
 }
 
 /// UZP1: concatenate the even elements of a then b.
-template <typename E>
-inline svreg<E> svuzp1(const svreg<E>& a, const svreg<E>& b) {
+template <typename E, std::size_t Bytes>
+inline svreg<E, Bytes> svuzp1(const svreg<E, Bytes>& a, const svreg<E, Bytes>& b) {
   detail::record(InsnClass::kPermute, "uzp1 z, z, z", detail::suffix<E>());
-  svreg<E> r;
-  const unsigned n = detail::active_lanes<E>();
+  svreg<E, Bytes> r;
+  const unsigned n = detail::reg_lanes<E, Bytes>();
   for (unsigned i = 0; i < n / 2; ++i) {
     r.lane[i] = a.lane[2 * i];
     r.lane[n / 2 + i] = b.lane[2 * i];
@@ -120,11 +130,11 @@ inline svreg<E> svuzp1(const svreg<E>& a, const svreg<E>& b) {
 }
 
 /// UZP2: concatenate the odd elements of a then b.
-template <typename E>
-inline svreg<E> svuzp2(const svreg<E>& a, const svreg<E>& b) {
+template <typename E, std::size_t Bytes>
+inline svreg<E, Bytes> svuzp2(const svreg<E, Bytes>& a, const svreg<E, Bytes>& b) {
   detail::record(InsnClass::kPermute, "uzp2 z, z, z", detail::suffix<E>());
-  svreg<E> r;
-  const unsigned n = detail::active_lanes<E>();
+  svreg<E, Bytes> r;
+  const unsigned n = detail::reg_lanes<E, Bytes>();
   for (unsigned i = 0; i < n / 2; ++i) {
     r.lane[i] = a.lane[2 * i + 1];
     r.lane[n / 2 + i] = b.lane[2 * i + 1];
@@ -134,11 +144,11 @@ inline svreg<E> svuzp2(const svreg<E>& a, const svreg<E>& b) {
 }
 
 /// TRN1: even-indexed elements from a and b interleaved.
-template <typename E>
-inline svreg<E> svtrn1(const svreg<E>& a, const svreg<E>& b) {
+template <typename E, std::size_t Bytes>
+inline svreg<E, Bytes> svtrn1(const svreg<E, Bytes>& a, const svreg<E, Bytes>& b) {
   detail::record(InsnClass::kPermute, "trn1 z, z, z", detail::suffix<E>());
-  svreg<E> r;
-  const unsigned n = detail::active_lanes<E>();
+  svreg<E, Bytes> r;
+  const unsigned n = detail::reg_lanes<E, Bytes>();
   for (unsigned i = 0; i < n / 2; ++i) {
     r.lane[2 * i] = a.lane[2 * i];
     r.lane[2 * i + 1] = b.lane[2 * i];
@@ -148,11 +158,11 @@ inline svreg<E> svtrn1(const svreg<E>& a, const svreg<E>& b) {
 }
 
 /// TRN2: odd-indexed elements from a and b interleaved.
-template <typename E>
-inline svreg<E> svtrn2(const svreg<E>& a, const svreg<E>& b) {
+template <typename E, std::size_t Bytes>
+inline svreg<E, Bytes> svtrn2(const svreg<E, Bytes>& a, const svreg<E, Bytes>& b) {
   detail::record(InsnClass::kPermute, "trn2 z, z, z", detail::suffix<E>());
-  svreg<E> r;
-  const unsigned n = detail::active_lanes<E>();
+  svreg<E, Bytes> r;
+  const unsigned n = detail::reg_lanes<E, Bytes>();
   for (unsigned i = 0; i < n / 2; ++i) {
     r.lane[2 * i] = a.lane[2 * i + 1];
     r.lane[2 * i + 1] = b.lane[2 * i + 1];
@@ -162,11 +172,11 @@ inline svreg<E> svtrn2(const svreg<E>& a, const svreg<E>& b) {
 }
 
 /// Broadcast one lane to all lanes (DUP (indexed)).
-template <typename E>
-inline svreg<E> svdup_lane(const svreg<E>& a, unsigned lane) {
+template <typename E, std::size_t Bytes>
+inline svreg<E, Bytes> svdup_lane(const svreg<E, Bytes>& a, unsigned lane) {
   detail::record(InsnClass::kDup, "dup z, z[i]", detail::suffix<E>());
-  svreg<E> r;
-  const unsigned n = detail::active_lanes<E>();
+  svreg<E, Bytes> r;
+  const unsigned n = detail::reg_lanes<E, Bytes>();
   SVELAT_DEBUG_ASSERT(lane < n);
   for (unsigned i = 0; i < n; ++i) r.lane[i] = a.lane[lane];
   detail::clear_inactive_storage(r, n);

@@ -28,7 +28,7 @@ inline svbool_t ptrue_impl() {
 template <typename E>
 inline svbool_t whilelt_impl(std::uint64_t begin, std::uint64_t end) {
   record(InsnClass::kPredicate, "whilelt p", suffix<E>());
-  const std::uint64_t n = active_lanes<E>();
+  const std::uint64_t n = lanes<E>();
   const std::uint64_t k = begin < end ? (end - begin < n ? end - begin : n) : 0;
   const unsigned bytes = static_cast<unsigned>(k * sizeof(E));
   svbool_t pg{};

@@ -10,22 +10,22 @@
 
 namespace svelat::sve {
 
-template <typename E>
-inline E svaddv(const svbool_t& pg, const svreg<E>& a) {
+template <typename E, std::size_t Bytes>
+inline E svaddv(const svbool_t& pg, const svreg<E, Bytes>& a) {
   detail::record(InsnClass::kReduce, "faddv s, p, z", detail::suffix<E>());
   E sum{};
-  const unsigned n = detail::active_lanes<E>();
+  const unsigned n = detail::reg_lanes<E, Bytes>();
   for (unsigned i = 0; i < n; ++i)
     if (detail::pred_elem<E>(pg, i)) sum = static_cast<E>(sum + a.lane[i]);
   return sum;
 }
 
-template <typename E>
-inline E svmaxv(const svbool_t& pg, const svreg<E>& a) {
+template <typename E, std::size_t Bytes>
+inline E svmaxv(const svbool_t& pg, const svreg<E, Bytes>& a) {
   detail::record(InsnClass::kReduce, "fmaxv s, p, z", detail::suffix<E>());
   bool found = false;
   E best{};
-  const unsigned n = detail::active_lanes<E>();
+  const unsigned n = detail::reg_lanes<E, Bytes>();
   for (unsigned i = 0; i < n; ++i) {
     if (!detail::pred_elem<E>(pg, i)) continue;
     if (!found || best < a.lane[i]) best = a.lane[i];
@@ -34,12 +34,12 @@ inline E svmaxv(const svbool_t& pg, const svreg<E>& a) {
   return best;
 }
 
-template <typename E>
-inline E svminv(const svbool_t& pg, const svreg<E>& a) {
+template <typename E, std::size_t Bytes>
+inline E svminv(const svbool_t& pg, const svreg<E, Bytes>& a) {
   detail::record(InsnClass::kReduce, "fminv s, p, z", detail::suffix<E>());
   bool found = false;
   E best{};
-  const unsigned n = detail::active_lanes<E>();
+  const unsigned n = detail::reg_lanes<E, Bytes>();
   for (unsigned i = 0; i < n; ++i) {
     if (!detail::pred_elem<E>(pg, i)) continue;
     if (!found || a.lane[i] < best) best = a.lane[i];

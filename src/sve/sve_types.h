@@ -2,12 +2,21 @@
 //
 // Hardware SVE registers are "sizeless": their width is only known at run
 // time, so ACLE types may not be class members, sizeof() operands, or
-// statics (paper Sec. III-C).  The simulator backs every register with
-// storage for the architectural maximum (2048 bit) and lets the runtime
-// vector length (sve_config.h) decide how many lanes are architecturally
-// visible.  To preserve the paper's port constraints we treat these types
-// *as if* they were sizeless: framework classes must never hold them as
-// data members -- that is what simd::vec<T> (an ordinary array) is for.
+// statics (paper Sec. III-C).  The simulator backs every ACLE register type
+// (svfloat64_t and friends) with storage for the architectural maximum
+// (2048 bit) and lets the runtime vector length (sve_config.h) decide how
+// many lanes are architecturally visible; lanes above it are kept zero.
+// To preserve the paper's port constraints we treat these types *as if*
+// they were sizeless: framework classes must never hold them as data
+// members -- that is what simd::vec<T> (an ordinary array) is for.
+//
+// Fixed-length registers follow ACLE's arm_sve_vector_bits(N) types (what
+// armclang's -msve-vector-bits=N gives code bound to one vector length,
+// like the paper's SVE_VECTOR_LENGTH port, Sec. V-B): svreg<E, Bytes> with
+// Bytes < 256 holds exactly Bytes bytes and is only valid while the
+// simulated VL is Bytes*8 bits.  Every intrinsic checks that on each use
+// (detail::reg_lanes) and aborts on a mismatch, so such a register has no
+// storage above the VL and its lane loops have a compile-time trip count.
 //
 // Predicate registers have the hardware layout: one bit per *byte* of the
 // vector (VL/8 bits; paper Sec. III), packed little-endian into four 64-bit
@@ -17,6 +26,7 @@
 // vector_bytes().  Predicate instructions therefore work on whole words.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 #include "support/half.h"
@@ -29,12 +39,15 @@ using float64_t = double;
 using float32_t = float;
 using float16_t = svelat::half;
 
-/// Generic simulated vector register with element type E.
-template <typename E>
+/// Simulated vector register with element type E and Bytes bytes of
+/// storage: the maximum for the (vector-length agnostic) ACLE types, the
+/// fixed vector length for arm_sve_vector_bits-style registers.
+template <typename E, std::size_t Bytes = kMaxVectorBytes>
 struct svreg {
-  static constexpr unsigned kMaxLanes =
-      static_cast<unsigned>(kMaxVectorBytes / sizeof(E));
-  alignas(64) E lane[kMaxLanes];
+  static_assert(is_valid_vector_length(static_cast<unsigned>(8 * Bytes)),
+                "register storage must be a legal SVE vector length");
+  static constexpr unsigned kMaxLanes = static_cast<unsigned>(Bytes / sizeof(E));
+  alignas(Bytes < 64 ? Bytes : 64) E lane[kMaxLanes];
 };
 
 using svfloat64_t = svreg<float64_t>;
@@ -76,19 +89,22 @@ using svfloat32x3_t = svregx<float32_t, 3>;
 using svfloat32x4_t = svregx<float32_t, 4>;
 using svfloat16x2_t = svregx<float16_t, 2>;
 
-/// ACLE tuple accessors.
-template <typename E, unsigned N>
-inline svreg<E> svget2(const svregx<E, N>& t, unsigned idx) {
-  SVELAT_DEBUG_ASSERT(idx < N);
-  return t.reg[idx];
-}
-
 namespace detail {
 
-/// Number of architecturally visible lanes for E at the current VL.
-template <typename E>
-inline unsigned active_lanes() {
-  return lanes<E>();
+/// Number of architecturally visible lanes of a register svreg<E, Bytes>:
+/// lanes<E>() for the max-width ACLE types.  A fixed-length register is
+/// only valid at VL == Bytes*8 (checked always, like acle::check_vl());
+/// its lane count is then a compile-time constant.
+template <typename E, std::size_t Bytes>
+inline unsigned reg_lanes() {
+  if constexpr (Bytes == kMaxVectorBytes) {
+    return lanes<E>();
+  } else {
+    SVELAT_ASSERT_MSG(vector_bytes() == Bytes,
+                      "fixed-length SVE register (arm_sve_vector_bits) used at a "
+                      "different simulated vector length");
+    return svreg<E, Bytes>::kMaxLanes;
+  }
 }
 
 /// Every stride-th bit of a 64-bit word from bit 0, for strides 1..16.
@@ -133,10 +149,11 @@ inline void set_pred_elem(svbool_t& pg, unsigned i, bool value) {
 }
 
 /// Zero all lanes above the current VL so stale max-width storage can never
-/// leak into results (hardware would simply not have those lanes).
-template <typename E>
-inline void clear_inactive_storage(svreg<E>& r, unsigned from_lane) {
-  for (unsigned i = from_lane; i < svreg<E>::kMaxLanes; ++i) r.lane[i] = E{};
+/// leak into results (hardware would simply not have those lanes).  A no-op
+/// for fixed-length registers, which have no storage above the VL.
+template <typename E, std::size_t Bytes>
+inline void clear_inactive_storage(svreg<E, Bytes>& r, unsigned from_lane) {
+  for (unsigned i = from_lane; i < svreg<E, Bytes>::kMaxLanes; ++i) r.lane[i] = E{};
 }
 
 }  // namespace detail

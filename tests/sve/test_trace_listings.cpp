@@ -1,10 +1,14 @@
-// Golden instruction traces of the paper's code examples at VL512.
+// Golden instruction traces of the paper's code examples at VL128, VL256
+// and VL512, the vector lengths the paper enables in Grid (Sec. V-B).
 //
 // Runs the Sec. IV kernels and the Sec. V-C/V-E MultComplex functors (the
 // listings examples/code_listings prints) under a Tracer and compares the
 // folded listing with the expected text below, so any change to a
 // mnemonic, suffix, operand form, order or count of the simulated
-// instruction stream fails here.
+// instruction stream fails here.  As in examples/code_listings, the inputs
+// are two vectors' worth of elements at each VL and the functors are
+// instantiated for that VL (acle<T, VLB> on fixed-length registers), so the
+// listings are the same text at every VL.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -27,13 +31,30 @@ std::string folded_trace(F&& run) {
   return tracer.folded_listing();
 }
 
-class TraceListingTest : public ::testing::Test {
- protected:
-  void SetUp() override { sve::set_vector_length(512); }
+/// Trace of one MultComplex functor product a*b at vector length VLB.
+template <std::size_t VLB, class Policy>
+std::string product_trace() {
+  using C = simd::SimdComplex<double, VLB, Policy>;
+  const C a(1.0, 0.5), b(2.0, -0.25);
+  return folded_trace([&] { (void)(a * b); });
+}
 
-  // The inputs of examples/code_listings: two VL512 vectors' worth of
-  // elements (8 doubles each).
-  const std::size_t n_ = 2 * 8;
+class TraceListingTest : public ::testing::TestWithParam<unsigned> {
+ protected:
+  /// product_trace at the VLB that matches the current VL.
+  template <class Policy>
+  static std::string functor_trace() {
+    switch (GetParam()) {
+      case 128: return product_trace<simd::kVLB128, Policy>();
+      case 256: return product_trace<simd::kVLB256, Policy>();
+      default: return product_trace<simd::kVLB512, Policy>();
+    }
+  }
+
+  // Declared first: the inputs below are sized at the parameter's VL.
+  const sve::VLGuard vl_{GetParam()};
+  // The inputs of examples/code_listings: two vectors' worth of elements.
+  const std::size_t n_ = 2 * sve::lanes<double>();
   std::vector<double> x_ = std::vector<double>(2 * n_, 1.0);
   std::vector<double> y_ = std::vector<double>(2 * n_, 2.0);
   std::vector<double> z_ = std::vector<double>(2 * n_);
@@ -42,7 +63,7 @@ class TraceListingTest : public ::testing::Test {
   std::vector<kernels::cplx> cz_ = std::vector<kernels::cplx>(n_);
 };
 
-TEST_F(TraceListingTest, MultRealVlaLoopSecIVA) {
+TEST_P(TraceListingTest, MultRealVlaLoopSecIVA) {
   EXPECT_EQ(folded_trace([&] {
               kernels::mult_real_sve(n_, x_.data(), y_.data(), z_.data());
             }),
@@ -59,7 +80,7 @@ TEST_F(TraceListingTest, MultRealVlaLoopSecIVA) {
 )");
 }
 
-TEST_F(TraceListingTest, MultCplxAutovecSecIVB) {
+TEST_P(TraceListingTest, MultCplxAutovecSecIVB) {
   EXPECT_EQ(folded_trace([&] {
               kernels::mult_cplx_autovec(n_, cx_.data(), cy_.data(), cz_.data());
             }),
@@ -83,7 +104,7 @@ TEST_F(TraceListingTest, MultCplxAutovecSecIVB) {
 )");
 }
 
-TEST_F(TraceListingTest, MultCplxAcleVlaLoopSecIVC) {
+TEST_P(TraceListingTest, MultCplxAcleVlaLoopSecIVC) {
   EXPECT_EQ(folded_trace([&] {
               kernels::mult_cplx_acle(n_, x_.data(), y_.data(), z_.data());
             }),
@@ -115,7 +136,7 @@ TEST_F(TraceListingTest, MultCplxAcleVlaLoopSecIVC) {
 )");
 }
 
-TEST_F(TraceListingTest, MultCplxAcleFixedSizeSecIVD) {
+TEST_P(TraceListingTest, MultCplxAcleFixedSizeSecIVD) {
   EXPECT_EQ(folded_trace([&] {
               kernels::mult_cplx_acle_fixed(x_.data(), y_.data(), z_.data());
             }),
@@ -128,10 +149,8 @@ TEST_F(TraceListingTest, MultCplxAcleFixedSizeSecIVD) {
 )");
 }
 
-TEST_F(TraceListingTest, MultComplexFunctorFcmlaSecVC) {
-  using F = simd::SimdComplex<double, simd::kVLB512, simd::SveFcmla>;
-  const F a(1.0, 0.5), b(2.0, -0.25);
-  EXPECT_EQ(folded_trace([&] { (void)(a * b); }), R"(   1  ptrue p.d
+TEST_P(TraceListingTest, MultComplexFunctorFcmlaSecVC) {
+  EXPECT_EQ(functor_trace<simd::SveFcmla>(), R"(   1  ptrue p.d
    2  dup z.d
    3  ld1 z, p/z, [x].d   (x2)
    4  fcmla z, p/m, z, z.d, #90
@@ -140,10 +159,8 @@ TEST_F(TraceListingTest, MultComplexFunctorFcmlaSecVC) {
 )");
 }
 
-TEST_F(TraceListingTest, MultComplexFunctorRealSecVE) {
-  using R = simd::SimdComplex<double, simd::kVLB512, simd::SveReal>;
-  const R a(1.0, 0.5), b(2.0, -0.25);
-  EXPECT_EQ(folded_trace([&] { (void)(a * b); }), R"(   1  ptrue p.d
+TEST_P(TraceListingTest, MultComplexFunctorRealSecVE) {
+  EXPECT_EQ(functor_trace<simd::SveReal>(), R"(   1  ptrue p.d
    2  pfalse p.b
    3  ptrue p.d
    4  trn1 p, p, p.d
@@ -162,6 +179,12 @@ TEST_F(TraceListingTest, MultComplexFunctorRealSecVE) {
   17  st1 z, p, [x].d
 )");
 }
+
+INSTANTIATE_TEST_SUITE_P(PaperVectorLengths, TraceListingTest,
+                         ::testing::Values(128u, 256u, 512u),
+                         [](const ::testing::TestParamInfo<unsigned>& info) {
+                           return "VL" + std::to_string(info.param);
+                         });
 
 }  // namespace
 }  // namespace svelat
