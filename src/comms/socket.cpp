@@ -2,8 +2,8 @@
 
 #include <fcntl.h>
 #include <poll.h>
-#include <sys/ioctl.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -29,7 +29,6 @@ struct FrameHeader {
   std::int32_t tag;
   std::uint64_t bytes;
 };
-static_assert(sizeof(FrameHeader) == 24, "wire frame header is 24 bytes");
 
 void set_nonblocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
@@ -43,20 +42,6 @@ std::int64_t now_ms() {
       .count();
 }
 
-/// poll() one fd for the given events; true when ready, false on timeout.
-bool wait_ready(int fd, short events, int timeout_ms) {
-  struct pollfd p;
-  p.fd = fd;
-  p.events = events;
-  p.revents = 0;
-  for (;;) {
-    const int rc = ::poll(&p, 1, timeout_ms);
-    if (rc < 0 && errno == EINTR) continue;
-    SVELAT_ASSERT_MSG(rc >= 0, "poll failed");
-    return rc > 0;
-  }
-}
-
 }  // namespace
 
 SocketCommunicator::SocketCommunicator(int nranks, int my_rank,
@@ -65,11 +50,13 @@ SocketCommunicator::SocketCommunicator(int nranks, int my_rank,
       rank_(my_rank),
       recv_timeout_ms_(recv_timeout_ms),
       peer_fds_(std::move(peer_fds)),
-      peer_status_(static_cast<std::size_t>(nranks), CommStatus::kOk) {
+      peer_status_(static_cast<std::size_t>(nranks), CommStatus::kOk),
+      partial_(static_cast<std::size_t>(nranks)) {
   SVELAT_ASSERT_MSG(nranks > 0, "need at least one rank");
   check_rank(my_rank);
   SVELAT_ASSERT_MSG(static_cast<int>(peer_fds_.size()) == nranks,
                     "need one descriptor slot per rank");
+  static_assert(sizeof(FrameHeader) == kHeaderBytes, "wire frame header is 24 bytes");
   for (int r = 0; r < nranks_; ++r) {
     if (r == rank_) continue;
     SVELAT_ASSERT_MSG(peer_fds_[static_cast<std::size_t>(r)] >= 0, "bad peer descriptor");
@@ -94,63 +81,58 @@ CommStatus SocketCommunicator::try_send(int from, int to, int tag,
     return CommStatus::kOk;
   }
   if (const CommStatus st = peer_state(to); st != CommStatus::kOk) return st;
-  FrameHeader h;
-  h.magic = kMagic;
-  h.from = from;
-  h.to = to;
-  h.tag = tag;
-  h.bytes = payload.size();
-  if (const CommStatus st = write_all(to, &h, sizeof h); st != CommStatus::kOk) {
-    // A header that timed out before its first byte left nothing on the
+  const FrameHeader h{kMagic, from, to, tag, payload.size()};
+  if (const CommStatus st =
+          write_frame(to, reinterpret_cast<const std::uint8_t*>(&h), payload);
+      st != CommStatus::kOk) {
+    // A frame that timed out before its first byte left nothing on the
     // wire; anything else desynchronized the stream for good.
     if (st != CommStatus::kTimeout) peer_status_[static_cast<std::size_t>(to)] = st;
     return st;
-  }
-  if (const CommStatus st = write_all(to, payload.data(), payload.size());
-      st != CommStatus::kOk) {
-    // The header is committed: the channel is torn regardless of class.
-    const CommStatus verdict =
-        st == CommStatus::kTimeout ? CommStatus::kTornFrame : st;
-    peer_status_[static_cast<std::size_t>(to)] = verdict;
-    return verdict;
   }
   bytes_sent_ += payload.size();
   return CommStatus::kOk;
 }
 
-CommStatus SocketCommunicator::write_all(int to, const void* data, std::size_t n) {
+CommStatus SocketCommunicator::write_frame(int to, const std::uint8_t* header,
+                                           const std::vector<std::uint8_t>& payload) {
   const int fd = peer_fds_[static_cast<std::size_t>(to)];
-  const auto* p = static_cast<const std::uint8_t*>(data);
-  const std::int64_t deadline = now_ms() + recv_timeout_ms_;
+  const std::size_t total = kHeaderBytes + payload.size();
   std::size_t done = 0;
-  while (done < n) {
+  std::int64_t deadline = now_ms() + recv_timeout_ms_;
+  while (done < total) {
+    // Header and payload leave in one sendmsg() where the buffer allows.
+    struct iovec iov[2];
+    int parts = 0;
+    if (done < kHeaderBytes)
+      iov[parts++] = {const_cast<std::uint8_t*>(header) + done, kHeaderBytes - done};
+    const std::size_t off = done < kHeaderBytes ? 0 : done - kHeaderBytes;
+    if (off < payload.size())
+      iov[parts++] = {const_cast<std::uint8_t*>(payload.data()) + off,
+                      payload.size() - off};
+    struct msghdr msg = {};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = static_cast<std::size_t>(parts);
     // MSG_NOSIGNAL: a vanished peer surfaces as EPIPE, not a fatal SIGPIPE.
-    const ssize_t w = ::send(fd, p + done, n - done, MSG_NOSIGNAL);
+    const ssize_t w = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
     if (w > 0) {
       done += static_cast<std::size_t>(w);
-      continue;
-    }
-    if (w < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      // Peer's buffer is full: it is likely mid-send itself.  Drain any
-      // inbound frame to keep both sides progressing, then wait briefly
-      // for writability.  Skip peers whose stream already ended: their
-      // descriptors poll readable (POLLHUP) forever.
-      for (int r = 0; r < nranks_; ++r) {
-        if (r == rank_ || r == to || peer_state(r) != CommStatus::kOk) continue;
-        if (wait_ready(peer_fds_[static_cast<std::size_t>(r)], POLLIN, 0))
-          (void)drain_frame(r, recv_timeout_ms_);
-      }
-      if (peer_state(to) == CommStatus::kOk && wait_ready(fd, POLLIN, 0))
-        (void)drain_frame(to, recv_timeout_ms_);
-      if (now_ms() >= deadline)
-        // The peer stopped draining its socket.  Recoverable only if the
-        // frame has not started; try_send maps a mid-frame stall to
-        // kTornFrame.
-        return done == 0 ? CommStatus::kTimeout : CommStatus::kTornFrame;
-      wait_ready(fd, POLLOUT, 10);
+      deadline = now_ms() + recv_timeout_ms_;
       continue;
     }
     if (w < 0 && errno == EINTR) continue;
+    if (w < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      // The peer's buffer is full: it may be blocked writing to us.  Take
+      // in what every peer has sent so far, then wait for room.
+      for (int r = 0; r < nranks_; ++r) (void)pump(r);
+      const std::int64_t left = deadline - now_ms();
+      if (left <= 0)
+        // The peer stopped draining its socket.  Recoverable only if the
+        // frame has not started.
+        return done == 0 ? CommStatus::kTimeout : CommStatus::kTornFrame;
+      wait_io(to, static_cast<int>(left));
+      continue;
+    }
     // EPIPE / ECONNRESET: the peer is gone mid-conversation.
     return (errno == EPIPE || errno == ECONNRESET) ? CommStatus::kPeerExited
                                                    : CommStatus::kIoError;
@@ -158,82 +140,69 @@ CommStatus SocketCommunicator::write_all(int to, const void* data, std::size_t n
   return CommStatus::kOk;
 }
 
-CommStatus SocketCommunicator::read_exact(int fd, void* data, std::size_t n) {
-  auto* p = static_cast<std::uint8_t*>(data);
-  std::size_t done = 0;
-  while (done < n) {
-    const ssize_t r = ::recv(fd, p + done, n - done, 0);
-    if (r > 0) {
-      done += static_cast<std::size_t>(r);
-      continue;
+bool SocketCommunicator::pump(int peer) {
+  if (peer == rank_ || peer_state(peer) != CommStatus::kOk) return false;
+  const int fd = peer_fds_[static_cast<std::size_t>(peer)];
+  PartialFrame& f = partial_[static_cast<std::size_t>(peer)];
+  CommStatus& verdict = peer_status_[static_cast<std::size_t>(peer)];
+  bool arrived = false;
+  for (;;) {
+    const bool in_header = f.got < kHeaderBytes;
+    std::uint8_t* dst =
+        in_header ? f.header + f.got : f.payload.data() + (f.got - kHeaderBytes);
+    const std::size_t want =
+        in_header ? kHeaderBytes - f.got : f.payload.size() - (f.got - kHeaderBytes);
+    const ssize_t r = ::recv(fd, dst, want, 0);
+    if (r == 0) {
+      // EOF on a frame boundary: the peer completed its sends and exited
+      // (its descriptor polls readable forever, hence the sticky verdict).
+      // EOF inside a frame: the peer died mid-write.
+      verdict = f.got == 0 ? CommStatus::kPeerExited : CommStatus::kTornFrame;
+      return arrived;
     }
-    if (r == 0) return CommStatus::kTornFrame;  // EOF inside the frame
-    if (r < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      // The sender writes header + payload back to back; the remainder of
-      // a started frame arrives promptly -- a stall here means the peer
-      // died mid-frame.
-      if (!wait_ready(fd, POLLIN, recv_timeout_ms_)) return CommStatus::kTornFrame;
-      continue;
+    if (r < 0) {
+      if (errno == EINTR) continue;
+      if (errno != EAGAIN && errno != EWOULDBLOCK) verdict = CommStatus::kIoError;
+      return arrived;
     }
-    if (r < 0 && errno == EINTR) continue;
-    return CommStatus::kIoError;
+    arrived = true;
+    f.got += static_cast<std::size_t>(r);
+    if (f.got == kHeaderBytes) {
+      FrameHeader h;
+      std::memcpy(&h, f.header, sizeof h);
+      if (h.magic != kMagic || h.from != peer || h.to != rank_) {
+        verdict = CommStatus::kDesync;  // desynchronized or misrouted
+        return arrived;
+      }
+      f.tag = h.tag;
+      f.payload.resize(h.bytes);
+    }
+    if (f.got == kHeaderBytes + f.payload.size()) {
+      inbox_[Key{peer, f.tag}].push_back(std::move(f.payload));
+      f = PartialFrame{};
+    }
   }
-  return CommStatus::kOk;
 }
 
-CommStatus SocketCommunicator::drain_frame(int from, int timeout_ms) {
-  if (const CommStatus st = peer_state(from); st != CommStatus::kOk) return st;
-  const int fd = peer_fds_[static_cast<std::size_t>(from)];
-  if (!wait_ready(fd, POLLIN, timeout_ms)) return CommStatus::kTimeout;
-  // Read the header byte by byte so EOF on a frame BOUNDARY (the peer
-  // completed all its sends and exited; its descriptor polls readable
-  // forever) is distinguishable from EOF inside a frame (a torn write:
-  // the peer died).  Only the latter breaks the stream.
-  FrameHeader h;
-  auto* hp = reinterpret_cast<std::uint8_t*>(&h);
-  std::size_t got = 0;
-  while (got < sizeof h) {
-    const ssize_t r = ::recv(fd, hp + got, sizeof h - got, 0);
-    if (r > 0) {
-      got += static_cast<std::size_t>(r);
-      continue;
-    }
-    if (r == 0) {
-      const CommStatus st =
-          got == 0 ? CommStatus::kPeerExited : CommStatus::kTornFrame;
-      peer_status_[static_cast<std::size_t>(from)] = st;
-      return st;
-    }
-    if (errno == EINTR) continue;
-    if (errno != EAGAIN && errno != EWOULDBLOCK) {
-      peer_status_[static_cast<std::size_t>(from)] = CommStatus::kIoError;
-      return CommStatus::kIoError;
-    }
-    if (!wait_ready(fd, POLLIN, recv_timeout_ms_)) {
-      // A header that stalls part-way means the peer died mid-write.
-      const CommStatus st =
-          got == 0 ? CommStatus::kTimeout : CommStatus::kTornFrame;
-      if (st != CommStatus::kTimeout)
-        peer_status_[static_cast<std::size_t>(from)] = st;
-      return st;
-    }
+void SocketCommunicator::wait_io(int out, int timeout_ms) {
+  std::vector<struct pollfd> fds;
+  for (int r = 0; r < nranks_; ++r) {
+    if (r == rank_) continue;
+    // Skip peers whose stream already ended: they poll readable forever.
+    short events = peer_state(r) == CommStatus::kOk ? POLLIN : 0;
+    if (r == out) events |= POLLOUT;
+    if (events != 0) fds.push_back({peer_fds_[static_cast<std::size_t>(r)], events, 0});
   }
-  if (h.magic != kMagic) {
-    peer_status_[static_cast<std::size_t>(from)] = CommStatus::kDesync;
-    return CommStatus::kDesync;  // stream desynchronized
-  }
-  if (h.from != from || h.to != rank_) {
-    peer_status_[static_cast<std::size_t>(from)] = CommStatus::kDesync;
-    return CommStatus::kDesync;  // misrouted frame
-  }
-  std::vector<std::uint8_t> payload(h.bytes);
-  if (const CommStatus st = read_exact(fd, payload.data(), payload.size());
-      st != CommStatus::kOk) {
-    peer_status_[static_cast<std::size_t>(from)] = st;
-    return st;
-  }
-  inbox_[Key{h.from, h.tag}].push_back(std::move(payload));
-  return CommStatus::kOk;
+  while (::poll(fds.data(), fds.size(), timeout_ms) < 0)
+    SVELAT_ASSERT_MSG(errno == EINTR, "poll failed");
+}
+
+bool SocketCommunicator::take(const Key& k, std::vector<std::uint8_t>& out) {
+  auto it = inbox_.find(k);
+  if (it == inbox_.end() || it->second.empty()) return false;
+  out = std::move(it->second.front());
+  it->second.pop_front();
+  return true;
 }
 
 CommStatus SocketCommunicator::try_recv(int to, int from, int tag,
@@ -241,55 +210,36 @@ CommStatus SocketCommunicator::try_recv(int to, int from, int tag,
   SVELAT_ASSERT_MSG(to == rank_, "a socket endpoint receives only at its own rank");
   check_rank(from);
   const Key k{from, tag};
-  const std::int64_t deadline = now_ms() + recv_timeout_ms_;
+  if (take(k, out)) return CommStatus::kOk;
+  // Self-sends loop back in try_send(); nothing can arrive later.
+  if (from == rank_) return CommStatus::kNoMessage;
+  std::int64_t deadline = now_ms() + recv_timeout_ms_;
   for (;;) {
-    auto it = inbox_.find(k);
-    if (it != inbox_.end() && !it->second.empty()) {
-      out = std::move(it->second.front());
-      it->second.pop_front();
-      return CommStatus::kOk;
-    }
-    // Self-sends loop back in try_send(); nothing can arrive later.
-    if (from == rank_) return CommStatus::kNoMessage;
+    // Pump every peer, not just `from`, so none blocks writing to us.
+    bool arrived = false;
+    for (int r = 0; r < nranks_; ++r)
+      if (pump(r) && r == from) arrived = true;
+    if (take(k, out)) return CommStatus::kOk;
     if (const CommStatus st = peer_state(from); st != CommStatus::kOk)
       return st;  // the awaited message can never arrive
-    const std::int64_t left = deadline - now_ms();
-    if (left <= 0) return CommStatus::kTimeout;
-    if (const CommStatus st = drain_frame(from, static_cast<int>(left));
-        st != CommStatus::kOk && st != CommStatus::kTimeout)
-      return st;
+    // A frame whose bytes keep arriving gets a fresh timeout; silence
+    // inside a started frame cannot be resynchronized.
+    const bool started = partial_[static_cast<std::size_t>(from)].got > 0;
+    const std::int64_t now = now_ms();
+    if (arrived && started) deadline = now + recv_timeout_ms_;
+    if (now >= deadline) {
+      if (!started) return CommStatus::kTimeout;
+      peer_status_[static_cast<std::size_t>(from)] = CommStatus::kTornFrame;
+      return CommStatus::kTornFrame;
+    }
+    wait_io(-1, static_cast<int>(deadline - now));
   }
 }
 
 bool SocketCommunicator::has_pending(int to, int from, int tag) {
   SVELAT_ASSERT_MSG(to == rank_, "a socket endpoint receives only at its own rank");
   check_rank(from);
-  if (from != rank_) {
-    // Drain every frame that has COMPLETELY arrived from that peer.  A
-    // frame still in flight (header or payload partially written) is not
-    // pending yet and must not be committed to -- has_pending is
-    // documented non-blocking, so peek at the header and only drain when
-    // the kernel buffer already holds the whole frame.
-    const int fd = peer_fds_[static_cast<std::size_t>(from)];
-    while (peer_state(from) == CommStatus::kOk && wait_ready(fd, POLLIN, 0)) {
-      FrameHeader h;
-      const ssize_t p = ::recv(fd, &h, sizeof h, MSG_PEEK);
-      if (p == 0) {
-        peer_status_[static_cast<std::size_t>(from)] = CommStatus::kPeerExited;
-        break;
-      }
-      if (p < 0) {
-        if (errno == EINTR) continue;
-        break;  // EAGAIN: raced away; nothing complete
-      }
-      if (static_cast<std::size_t>(p) < sizeof h) break;  // header incomplete
-      int avail = 0;
-      if (::ioctl(fd, FIONREAD, &avail) != 0 ||
-          static_cast<std::uint64_t>(avail) < sizeof h + h.bytes)
-        break;                       // payload incomplete
-      (void)drain_frame(from, 0);    // whole frame buffered: cannot block
-    }
-  }
+  (void)pump(from);
   auto it = inbox_.find(Key{from, tag});
   return it != inbox_.end() && !it->second.empty();
 }

@@ -15,23 +15,27 @@
 //       24     -  payload (raw bytes, `bytes` of them)
 //
 // Ranks run on one host and share endianness, so fields are memcpy'd in
-// native layout.  Flow control: all descriptors are non-blocking and both
-// send() and recv() run a small progress engine -- while waiting to write
-// (peer's socket buffer full) or to read (frame not yet arrived), any
-// complete frame available from any peer is drained into the local inbox.
-// Ring exchanges where every rank sends before receiving therefore cannot
-// deadlock regardless of message size.
+// native layout.  Flow control: all descriptors are non-blocking, and one
+// progress engine -- pump(), the only reader of a peer socket -- moves
+// whatever bytes a peer's socket holds into that peer's frame in
+// progress; it never waits for the rest of a frame.  A rank waiting to
+// write (peer's socket buffer full) or to read pumps every live peer, so
+// a peer blocked writing to it always makes progress.  Exchanges where
+// every rank sends before it receives therefore cannot deadlock, whatever
+// the message size (pinned by the conformance suite's
+// SocketFlowControl.TwoWayLargeSendsDoNotDeadlock).
 //
 // Failure handling is typed (comms/comm_error.h, contract in
-// docs/FAULTS.md), not abort-on-timeout: a try_recv whose frame has not
-// arrived within `recv_timeout_ms` reports CommStatus::kTimeout (the base
-// class retries transient statuses per its RetryPolicy before the
+// docs/FAULTS.md), not abort-on-timeout: a try_recv that sees no byte of
+// its message within `recv_timeout_ms` reports CommStatus::kTimeout (the
+// base class retries transient statuses per its RetryPolicy before the
 // call-site recv() throws CommError); EOF on a frame boundary reports
 // kPeerExited so a rank waiting on a crashed peer gets a failure verdict
-// quickly instead of burning its full timeout; EOF or a stall INSIDE a
-// frame reports kTornFrame; a bad magic or misrouted frame reports
-// kDesync.  Fatal statuses are sticky per peer -- the stream is
-// desynchronized beyond repair once a frame tears.
+// quickly instead of burning its full timeout; EOF inside a frame, or no
+// byte of a started frame for `recv_timeout_ms`, reports kTornFrame; a
+// bad magic or misrouted frame reports kDesync.  Fatal statuses are
+// sticky per peer -- the stream is desynchronized beyond repair once a
+// frame tears.
 #pragma once
 
 #include <cstdint>
@@ -82,19 +86,34 @@ class SocketCommunicator final : public Communicator {
   void check_rank(int r) const {
     SVELAT_ASSERT_MSG(r >= 0 && r < nranks_, "bad rank");
   }
-  /// Blocking write of the full buffer to `to`, draining inbound frames
-  /// while the outbound buffer is full.  kTimeout only before the first
-  /// byte is committed; a stall mid-frame is kTornFrame (the stream
-  /// cannot be resynchronized).
-  CommStatus write_all(int to, const void* data, std::size_t n);
-  /// Read one complete frame from `from` into the inbox.  kOk: a frame
-  /// was drained.  kTimeout: none arrived in time.  kPeerExited: EOF on a
-  /// frame boundary (the peer completed its sends and exited -- recorded
-  /// in peer_status_).  kTornFrame / kDesync: the stream is broken
-  /// (sticky in peer_status_).
-  CommStatus drain_frame(int from, int timeout_ms);
-  /// Read exactly n bytes from fd (payload follows its header promptly).
-  CommStatus read_exact(int fd, void* data, std::size_t n);
+  static constexpr std::size_t kHeaderBytes = 24;
+
+  /// The frame a peer is part-way through sending: `got` bytes of the
+  /// header and then of the payload have arrived.
+  struct PartialFrame {
+    std::uint8_t header[kHeaderBytes] = {};
+    std::size_t got = 0;
+    int tag = 0;
+    std::vector<std::uint8_t> payload;  ///< sized once the header is in
+  };
+
+  /// Write a whole frame to `to`, pumping every peer while the outbound
+  /// buffer is full.  A peer that takes no byte for `recv_timeout_ms`
+  /// gives kTimeout before the frame's first byte and kTornFrame after it
+  /// (the stream cannot be resynchronized).
+  CommStatus write_frame(int to, const std::uint8_t* header,
+                         const std::vector<std::uint8_t>& payload);
+  /// Never blocks: move the bytes `peer`'s socket holds into its partial
+  /// frame, delivering every completed frame to the inbox.  Sets the
+  /// sticky verdict on EOF (kPeerExited on a frame boundary, kTornFrame
+  /// inside a frame), on a bad header (kDesync) or a socket error.  True
+  /// when any byte arrived.
+  bool pump(int peer);
+  /// poll() every live peer for input and, when `out` >= 0, peer `out`
+  /// for room to write; returns on readiness or after `timeout_ms`.
+  void wait_io(int out, int timeout_ms);
+  /// Pop the oldest inbox message on `k` into `out`, if there is one.
+  bool take(const Key& k, std::vector<std::uint8_t>& out);
 
   /// kOk while the peer's stream is usable; otherwise the sticky verdict.
   CommStatus peer_state(int r) const {
@@ -108,6 +127,7 @@ class SocketCommunicator final : public Communicator {
   /// Per-peer stream verdict: kOk, kPeerExited (clean EOF) or a sticky
   /// fatal status (kTornFrame / kDesync / kIoError).
   std::vector<CommStatus> peer_status_;
+  std::vector<PartialFrame> partial_;
   std::map<Key, std::deque<std::vector<std::uint8_t>>> inbox_;
   std::size_t bytes_sent_ = 0;
 };

@@ -1,20 +1,22 @@
 // Fault-injection tests: every fault class the FaultyCommunicator can
 // inject (docs/FAULTS.md) must produce either a successful retry or a
-// typed CommError -- never a bare abort (the only abort left is the
-// configured last resort, covered by the conformance suite).  Rank
-// crashes use REAL forked processes so the launcher's failure verdicts
-// and the survivors' fast kPeerExited detection are exercised end to end.
+// typed CommError -- never an abort.  Rank crashes use REAL forked
+// processes so the launcher's failure verdicts and the survivors' fast
+// kPeerExited detection are exercised end to end.
 #include "comms/faults.h"
 
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <chrono>
 #include <csignal>
 #include <cstring>
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <thread>
 
 #include "comms/socket.h"
 
@@ -176,19 +178,70 @@ TEST(SocketFaults, BadMagicIsDesync) {
   ::close(raw);
 }
 
+/// The wire bytes of a frame from rank 0 to rank 1 (layout: comms/socket.h).
+Payload frame_bytes(int tag, const Payload& payload) {
+  const std::uint32_t magic = 0x53564c54;
+  const std::int32_t from = 0, to = 1;
+  const std::uint64_t bytes = payload.size();
+  Payload wire(24 + payload.size());
+  std::memcpy(&wire[0], &magic, 4);
+  std::memcpy(&wire[4], &from, 4);
+  std::memcpy(&wire[8], &to, 4);
+  std::memcpy(&wire[12], &tag, 4);
+  std::memcpy(&wire[16], &bytes, 8);
+  std::copy(payload.begin(), payload.end(), wire.begin() + 24);
+  return wire;
+}
+
+void send_raw(int fd, const std::uint8_t* data, std::size_t n) {
+  ASSERT_EQ(::send(fd, data, n, 0), static_cast<ssize_t>(n));
+}
+
 TEST(SocketFaults, StalledPartialFrameIsTornNotTimeout) {
-  // The sender wrote half a header and then hung (not closed).  Waiting
+  // The sender wrote part of a frame and then hung (not closed).  Waiting
   // longer cannot resynchronize the stream: the verdict is kTornFrame,
   // and it must arrive within the bounded timeout rather than hanging.
-  auto mesh = make_socket_mesh(2);
-  SocketCommunicator survivor(2, 1, std::move(mesh[1]), 100);
-  const int raw = mesh[0][1];
-  const std::uint8_t partial[4] = {0x54, 0x4c, 0x56, 0x53};
-  ASSERT_EQ(::send(raw, partial, sizeof partial, 0),
-            static_cast<ssize_t>(sizeof partial));
+  // Half a header, then a full header and half its payload.
+  const Payload wire = frame_bytes(1, Payload(64, 0x5a));
+  for (const std::size_t stall_at : {std::size_t{4}, std::size_t{24 + 32}}) {
+    auto mesh = make_socket_mesh(2);
+    SocketCommunicator survivor(2, 1, std::move(mesh[1]), 100);
+    const int raw = mesh[0][1];
+    send_raw(raw, wire.data(), stall_at);
 
+    Payload out;
+    EXPECT_EQ(survivor.try_recv(1, 0, 1, out), CommStatus::kTornFrame)
+        << "stalled after " << stall_at << " bytes";
+    ::close(raw);
+  }
+}
+
+TEST(SocketFaults, FrameSentInPiecesIsDeliveredNotTorn) {
+  // Each gap between pieces is shorter than the receive timeout, but the
+  // whole frame takes longer than it: every arriving byte restarts the
+  // clock, so a slow but live sender is not mistaken for a dead one.
+  constexpr int kTimeoutMs = 400;
+  auto mesh = make_socket_mesh(2);
+  SocketCommunicator receiver(2, 1, std::move(mesh[1]), kTimeoutMs);
+  const int raw = mesh[0][1];
+  Payload payload(300);
+  for (std::size_t i = 0; i < payload.size(); ++i)
+    payload[i] = static_cast<std::uint8_t>(i);
+  const Payload wire = frame_bytes(4, payload);
+  std::thread sender([&] {
+    for (std::size_t at = 0; at < wire.size(); at += 100) {
+      if (at > 0) std::this_thread::sleep_for(std::chrono::milliseconds(kTimeoutMs / 2));
+      send_raw(raw, wire.data() + at, std::min<std::size_t>(100, wire.size() - at));
+    }
+  });
+  const auto start = std::chrono::steady_clock::now();
   Payload out;
-  EXPECT_EQ(survivor.try_recv(1, 0, 1, out), CommStatus::kTornFrame);
+  const CommStatus st = receiver.try_recv(1, 0, 4, out);
+  const auto waited = std::chrono::steady_clock::now() - start;
+  sender.join();
+  EXPECT_EQ(st, CommStatus::kOk);
+  EXPECT_EQ(out, payload);
+  EXPECT_GT(waited, std::chrono::milliseconds(kTimeoutMs));  // really spanned it
   ::close(raw);
 }
 
