@@ -28,6 +28,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -90,8 +91,9 @@ inline std::vector<std::uint8_t> encode_job(const MeasurementJob& job) {
 }
 
 /// Decode one job record at `off` (advancing it), validating magic,
-/// version and every enum-like field.  Throws io::IoError naming the
-/// defect -- kBadMagic / kBadVersion / kTruncated / kCorruptPayload.
+/// version, every enum-like field and every int field (a stored u32 above
+/// INT_MAX would wrap negative).  Throws io::IoError naming the defect --
+/// kBadMagic / kBadVersion / kTruncated / kCorruptPayload.
 inline MeasurementJob decode_job(const std::vector<std::uint8_t>& in,
                                  std::size_t& off) {
   using io::IoError;
@@ -105,24 +107,30 @@ inline MeasurementJob decode_job(const std::vector<std::uint8_t>& in,
     throw IoError(IoErrorCode::kBadVersion,
                   "job record version " + std::to_string(version) +
                       " (reader knows version " + std::to_string(kJobVersion) + ")");
+  bool ints_in_range = true;
+  const auto get_int = [&](const char* what) {
+    const std::uint32_t v = io::get_u32(in, off, code, what);
+    ints_in_range =
+        ints_in_range && v <= static_cast<std::uint32_t>(std::numeric_limits<int>::max());
+    return static_cast<int>(v);
+  };
   MeasurementJob job;
   job.job_id = io::get_u64(in, off, code, "job id");
   job.config_id = io::get_u32(in, off, code, "job config id");
-  for (int d = 0; d < lattice::Nd; ++d)
-    job.source[d] = static_cast<int>(io::get_u32(in, off, code, "job source"));
-  job.spin = static_cast<int>(io::get_u32(in, off, code, "job spin"));
-  job.colour = static_cast<int>(io::get_u32(in, off, code, "job colour"));
+  for (int d = 0; d < lattice::Nd; ++d) job.source[d] = get_int("job source");
+  job.spin = get_int("job spin");
+  job.colour = get_int("job colour");
   job.mass = io::get_f64(in, off, code, "job mass");
   const std::uint32_t alg = io::get_u32(in, off, code, "job algorithm");
   const std::uint32_t pre = io::get_u32(in, off, code, "job preconditioner");
   job.tolerance = io::get_f64(in, off, code, "job tolerance");
-  job.max_iterations = static_cast<int>(io::get_u32(in, off, code, "job iterations"));
-  if (alg > static_cast<std::uint32_t>(solver::Algorithm::kMixedCG) ||
+  job.max_iterations = get_int("job iterations");
+  if (!ints_in_range || alg > static_cast<std::uint32_t>(solver::Algorithm::kMixedCG) ||
       pre > static_cast<std::uint32_t>(solver::Preconditioner::kSchurEvenOdd) ||
-      job.spin < 0 || job.spin >= qcd::Ns || job.colour < 0 || job.colour >= qcd::Nc)
+      job.spin >= qcd::Ns || job.colour >= qcd::Nc)
     throw IoError(IoErrorCode::kCorruptPayload,
                   "job record " + std::to_string(job.job_id) +
-                      " holds an out-of-range enum or source component");
+                      " holds an out-of-range enum, source component or iteration cap");
   job.algorithm = static_cast<solver::Algorithm>(alg);
   job.preconditioner = static_cast<solver::Preconditioner>(pre);
   return job;

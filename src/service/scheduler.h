@@ -146,8 +146,18 @@ inline void combined_rates(const std::vector<const char*>& regions, double& gb,
 /// Run one job against a loaded gauge configuration: solve the named
 /// propagator column and package correlator + metrics.  The metrics
 /// registry is reset first so the reported rates cover exactly this job.
+/// A source outside the lattice is reported as not converged, with 0
+/// iterations and an empty correlator: throwing instead would kill each
+/// worker in turn as the job is requeued.
 template <class S>
 JobResult measure_job(const qcd::GaugeField<S>& gauge, const MeasurementJob& job) {
+  JobResult out;
+  out.job_id = job.job_id;
+  out.config_id = job.config_id;
+  const lattice::Coordinate& dims = gauge.grid()->fdimensions();
+  for (int d = 0; d < lattice::Nd; ++d)
+    if (job.source[d] < 0 || job.source[d] >= dims[d]) return out;
+
   metrics::reset();
   solver::WilsonSolver<S> solver(gauge, job.mass, job.solver_params());
   qcd::LatticeFermion<S> src(gauge.grid()), x(gauge.grid());
@@ -155,9 +165,6 @@ JobResult measure_job(const qcd::GaugeField<S>& gauge, const MeasurementJob& job
   x.set_zero();
   const solver::SolverResult res = solver.solve(src, x);
 
-  JobResult out;
-  out.job_id = job.job_id;
-  out.config_id = job.config_id;
   out.converged = res.converged;
   out.iterations = static_cast<std::uint32_t>(res.iterations);
   out.wall_seconds = res.wall_seconds;

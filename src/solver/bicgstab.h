@@ -11,15 +11,12 @@
 namespace svelat::solver {
 
 /// BiCGSTAB for a general (non-hermitian) operator `op`.  `x` carries the
-/// initial guess and receives the solution.  An armed StallGuard
-/// (default: off) cuts the loop short on divergence or stall, reporting
-/// the reason in SolverResult::stall.  A caller-owned `workspace` makes
-/// repeated solves allocation-free (slots kR/kR0/kP/kV/kS/kT); without
-/// one the work fields are constructed locally, exactly as before.
+/// initial guess and receives the solution.  A caller-owned `workspace`
+/// makes repeated solves allocation-free (slots kR/kR0/kP/kV/kS/kT);
+/// without one the work fields are constructed locally.
 template <class Field, class LinearOp>
 SolverResult bicgstab(const LinearOp& op, const Field& b, Field& x, double tolerance,
-                      int max_iterations, StallGuard guard = {},
-                      SolverWorkspace<Field>* workspace = nullptr) {
+                      int max_iterations, SolverWorkspace<Field>* workspace = nullptr) {
   using C = decltype(innerProduct(b, b));
   SolverResult stats;
   stats.algorithm = Algorithm::kBiCGSTAB;
@@ -53,9 +50,6 @@ SolverResult bicgstab(const LinearOp& op, const Field& b, Field& x, double toler
 
   for (int k = 0; k < max_iterations && rr > stop; ++k) {
     stats.residual_history.push_back(std::sqrt(rr / b2));
-    if ((stats.stall = guard.check(stats.residual_history.back())) !=
-        StallReason::kNone)
-      break;
 
     op(p, v);
     C alpha;
@@ -124,10 +118,9 @@ SolverResult bicgstab(const LinearOp& op, const Field& b, Field& x, double toler
 template <class Op, class Field>
 SolverResult solve_wilson_bicgstab(const Op& dirac, const Field& b, Field& x,
                                    double tolerance, int max_iterations,
-                                   StallGuard guard = {},
                                    SolverWorkspace<Field>* workspace = nullptr) {
   auto op = [&dirac](const Field& in, Field& out) { dirac.m(in, out); };
-  return bicgstab(op, b, x, tolerance, max_iterations, guard, workspace);
+  return bicgstab(op, b, x, tolerance, max_iterations, workspace);
 }
 
 }  // namespace svelat::solver

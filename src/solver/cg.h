@@ -43,15 +43,12 @@ struct FieldModel {
 /// Field is any lattice field type with grid()/norm2/innerProduct/axpy --
 /// full Lattice<vobj> or the half-checkerboard fields of the production
 /// Schur path (solver::WilsonSolver), whose half-length vectors halve the
-/// per-iteration axpy/norm traffic.  An armed StallGuard (default: off)
-/// cuts the loop short when the residual diverges or stalls, reporting
-/// the reason in SolverResult::stall.  A caller-owned `workspace` makes
+/// per-iteration axpy/norm traffic.  A caller-owned `workspace` makes
 /// repeated solves allocation-free (slots kR/kP/kAp); without one the
-/// work fields are constructed locally, exactly as before.
+/// work fields are constructed locally.
 template <class Field, class LinearOp>
 SolverResult conjugate_gradient(const LinearOp& op, const Field& b, Field& x,
                                 double tolerance, int max_iterations,
-                                StallGuard guard = {},
                                 SolverWorkspace<Field>* workspace = nullptr) {
   SolverResult stats;
   stats.algorithm = Algorithm::kCG;
@@ -83,9 +80,6 @@ SolverResult conjugate_gradient(const LinearOp& op, const Field& b, Field& x,
   for (int k = 0; k < max_iterations; ++k) {
     stats.residual_history.push_back(std::sqrt(rr / b2));
     if (rr <= stop) break;
-    if ((stats.stall = guard.check(stats.residual_history.back())) !=
-        StallReason::kNone)
-      break;
 
     op(p, ap);
     {
@@ -137,7 +131,6 @@ struct WilsonNormalOp {
 template <class Op, class Field>
 SolverResult solve_wilson(const Op& dirac, const Field& b, Field& x,
                           double tolerance, int max_iterations,
-                          StallGuard guard = {},
                           SolverWorkspace<Field>* workspace = nullptr) {
   SolverWorkspace<Field> local;
   SolverWorkspace<Field>& pool = workspace ? *workspace : local;
@@ -146,7 +139,7 @@ SolverResult solve_wilson(const Op& dirac, const Field& b, Field& x,
   dirac.mdag(b, mdag_b);
   SolverResult stats =
       conjugate_gradient(WilsonNormalOp<Op>{dirac}, mdag_b, x, tolerance,
-                         max_iterations, guard, &pool);
+                         max_iterations, &pool);
   // Replace the normal-equation norms with the Wilson-system ones.
   const double b2 = norm2(b);
   stats.rhs_norm = std::sqrt(b2);

@@ -64,36 +64,36 @@ class WilsonSolver {
   using InnerScalar = detail::rebind_real_t<S, float>;
 
   WilsonSolver(const qcd::GaugeField<S>& gauge, double mass, SolverParams params = {})
-      : gauge_(&gauge), mass_(mass), params_(params) {
+      : params_(params) {
     switch (params_.algorithm) {
       case Algorithm::kCG:
       case Algorithm::kBiCGSTAB:
         if (schur()) {
-          eo_.emplace(*gauge_, mass_);
+          eo_.emplace(gauge, mass);
           ws_.emplace(*eo_);
         } else {
-          dirac_.emplace(*gauge_, mass_);
+          dirac_.emplace(gauge, mass);
         }
         break;
       case Algorithm::kMixedCG: {
         SVELAT_ASSERT_MSG((std::is_same_v<typename S::real_type, double>),
                           "MixedCG needs a double-precision outer scalar");
-        dirac_.emplace(*gauge_, mass_);  // outer defect-correction operator
+        dirac_.emplace(gauge, mass);  // outer defect-correction operator
         grid_f_.emplace(
-            gauge_->grid()->fdimensions(),
+            gauge.grid()->fdimensions(),
             lattice::GridCartesian::default_simd_layout(InnerScalar::Nsimd()));
         gauge_f_.emplace(&*grid_f_);
         for (int mu = 0; mu < lattice::Nd; ++mu)
-          convert_field(gauge_f_->U[mu], gauge_->U[mu]);
+          convert_field(gauge_f_->U[mu], gauge.U[mu]);
         if (schur()) {
-          eo_f_.emplace(*gauge_f_, mass_);
+          eo_f_.emplace(*gauge_f_, mass);
           ws_f_.emplace(*eo_f_);
         } else {
-          dirac_f_.emplace(*gauge_f_, mass_);
+          dirac_f_.emplace(*gauge_f_, mass);
         }
-        r_.emplace(gauge_->grid());
-        mx_.emplace(gauge_->grid());
-        e_d_.emplace(gauge_->grid());
+        r_.emplace(gauge.grid());
+        mx_.emplace(gauge.grid());
+        e_d_.emplace(gauge.grid());
         r_f_.emplace(&*grid_f_);
         e_f_.emplace(&*grid_f_);
         break;
@@ -109,7 +109,7 @@ class WilsonSolver {
   /// the rank cut is not implemented, so the preconditioner is forced to
   /// kNone; kMixedCG would need a second fp32 operator per rank.
   WilsonSolver(const comms::DistributedWilsonDirac<S>& op, SolverParams params = {})
-      : mass_(op.mass()), params_(params), dop_(&op) {
+      : params_(params), dop_(&op) {
     SVELAT_ASSERT_MSG(params_.algorithm != Algorithm::kMixedCG,
                       "distributed solves support kCG and kBiCGSTAB only");
     params_.preconditioner = Preconditioner::kNone;
@@ -120,47 +120,38 @@ class WilsonSolver {
   WilsonSolver(const WilsonSolver&) = delete;
   WilsonSolver& operator=(const WilsonSolver&) = delete;
 
-  const SolverParams& params() const { return params_; }
-  double mass() const { return mass_; }
-  const qcd::GaugeField<S>& gauge() const {
-    SVELAT_ASSERT_MSG(gauge_ != nullptr,
-                      "distributed solvers hold no global gauge field");
-    return *gauge_;
-  }
-  const lattice::GridCartesian* grid() const {
-    return dop_ != nullptr ? dop_->grid() : gauge_->grid();
-  }
-
-  /// The owned Schur operator (engaged for kSchurEvenOdd configurations).
-  const qcd::SchurEvenOddWilson<S>& schur_operator() const {
-    SVELAT_ASSERT_MSG(eo_.has_value(), "solver was not configured with kSchurEvenOdd");
-    return *eo_;
-  }
-
   /// Solve M x = b.  `x` carries the initial guess for the kNone paths;
   /// the Schur paths always start the preconditioned system from zero and
   /// overwrite both parities of `x`.  Non-convergence is reported through
-  /// SolverResult::converged, never asserted.
-  ///
-  /// Graceful degradation: with an armed stall guard
-  /// (params.stall_window / params.divergence_factor) a diverging or
-  /// stalled solve is cut short and the reason recorded in
-  /// SolverResult::stall; with params.fallback == FallbackPolicy::kAuto a
-  /// failed solve is retried once on the robust path (kBiCGSTAB -> kCG
-  /// normal equations, kMixedCG -> full-precision kCG) from a zero guess,
-  /// and the result records the degradation (fallback_used,
-  /// fallback_from, first_attempt_iterations).
+  /// SolverResult::converged, never asserted and never retried.
   SolverResult solve(const Fermion& b, Fermion& x) {
     // Facade-level wall clock: the "solve" region's calls/sec IS the
     // solves-per-second figure (no byte/flop model -- the inner kernels
-    // carry those at dhop / linalg granularity).  Exactly ONE region call
-    // per facade-level solve: the fallback path runs through the nested
-    // solver's attempt(), never its solve(), so a degraded solve does not
-    // double-count itself.
+    // carry those at dhop / linalg granularity).
     metrics::ScopedTimer mt("solve");
     StopWatch sw;
-    const StallGuard guard{params_.stall_window, params_.divergence_factor};
-    SolverResult res = attempt(b, x, guard);
+    SolverResult res;
+    if (dop_ != nullptr) {
+      res = distributed_solve(b, x);
+    } else {
+      switch (params_.algorithm) {
+        case Algorithm::kCG:
+          res = schur() ? schur_cg(*eo_, *ws_, b, x, params_.tolerance,
+                                   params_.max_iterations, &kws_half_)
+                        : solve_wilson(*dirac_, b, x, params_.tolerance,
+                                       params_.max_iterations, &kws_);
+          break;
+        case Algorithm::kBiCGSTAB:
+          res = schur() ? schur_bicgstab(*eo_, *ws_, b, x, params_.tolerance,
+                                         params_.max_iterations, &kws_half_)
+                        : solve_wilson_bicgstab(*dirac_, b, x, params_.tolerance,
+                                                params_.max_iterations, &kws_);
+          break;
+        case Algorithm::kMixedCG:
+          res = mixed(b, x);
+          break;
+      }
+    }
     res.algorithm = params_.algorithm;
     res.preconditioner = params_.preconditioner;
     res.target_residual = params_.tolerance;
@@ -169,24 +160,10 @@ class WilsonSolver {
     // carries.  x is partial anyway -- report a zero norm.
     if (res.comm_status == comms::CommStatus::kOk)
       res.solution_norm = solution_norm(x);
-    // A typed comm failure is not a convergence failure: retrying the
-    // same broken mesh with a different algorithm cannot help.
-    if (!res.converged && params_.fallback == FallbackPolicy::kAuto &&
-        params_.algorithm != Algorithm::kCG &&
-        res.comm_status == comms::CommStatus::kOk) {
-      const double first_seconds = sw.seconds();
-      SolverResult fres = fallback_solve(b, x, res);
-      fres.first_attempt_seconds = first_seconds;
-      fres.wall_seconds = sw.seconds();  // first attempt + fallback
-      if (params_.verbosity >= 1) log_info() << "WilsonSolver " << fres.summary();
-      return fres;
-    }
     res.wall_seconds = sw.seconds();
     if (params_.verbosity >= 1) log_info() << "WilsonSolver " << res.summary();
     return res;
   }
-
-  SolverResult operator()(const Fermion& b, Fermion& x) { return solve(b, x); }
 
  private:
   bool schur() const { return params_.preconditioner == Preconditioner::kSchurEvenOdd; }
@@ -195,38 +172,11 @@ class WilsonSolver {
     return std::sqrt(dop_ != nullptr ? dop_->global_norm2(x) : norm2(x));
   }
 
-  /// One configured solve attempt: the algorithm x preconditioner
-  /// dispatch without the facade bookkeeping ("solve" region, wall clock,
-  /// fallback, logging) -- shared by solve() and the fallback path.
-  SolverResult attempt(const Fermion& b, Fermion& x, StallGuard guard) {
-    if (dop_ != nullptr) return distributed_attempt(b, x, guard);
-    SolverResult res;
-    switch (params_.algorithm) {
-      case Algorithm::kCG:
-        res = schur() ? schur_cg(*eo_, *ws_, b, x, params_.tolerance,
-                                 params_.max_iterations, guard, &kws_half_)
-                      : solve_wilson(*dirac_, b, x, params_.tolerance,
-                                     params_.max_iterations, guard, &kws_);
-        break;
-      case Algorithm::kBiCGSTAB:
-        res = schur() ? schur_bicgstab(*eo_, *ws_, b, x, params_.tolerance,
-                                       params_.max_iterations, guard, &kws_half_)
-                      : solve_wilson_bicgstab(*dirac_, b, x, params_.tolerance,
-                                              params_.max_iterations, guard, &kws_);
-        break;
-      case Algorithm::kMixedCG:
-        res = mixed(b, x, guard);
-        break;
-    }
-    return res;
-  }
-
   /// The distributed dispatch: bind this rank's slabs to the operator and
   /// run the operator-generic Krylov loop on them.  A communication
   /// failure that survives the retry ladder surfaces as a typed verdict
   /// in the result (comm_status / comm_detail), never an abort or a hang.
-  SolverResult distributed_attempt(const Fermion& b, Fermion& x,
-                                   StallGuard guard) {
+  SolverResult distributed_solve(const Fermion& b, Fermion& x) {
     SolverResult res;
     // The rank-slab bindings live in the solver (lazily built on first
     // use) so repeated distributed solves reuse their field storage; the
@@ -240,9 +190,9 @@ class WilsonSolver {
       const comms::DistributedWilsonOp<S> op{dop_};
       res = params_.algorithm == Algorithm::kCG
                 ? solve_wilson(op, db, dx, params_.tolerance,
-                               params_.max_iterations, guard, &kws_d_)
+                               params_.max_iterations, &kws_d_)
                 : solve_wilson_bicgstab(op, db, dx, params_.tolerance,
-                                        params_.max_iterations, guard, &kws_d_);
+                                        params_.max_iterations, &kws_d_);
       x = dx.field;
     } catch (const comms::CommError& e) {
       res.converged = false;
@@ -252,60 +202,21 @@ class WilsonSolver {
     return res;
   }
 
-  /// One fallback attempt on the robust configuration: kBiCGSTAB and
-  /// kMixedCG both degrade to plain double-precision kCG (normal
-  /// equations -- slower per iteration, but positive definite and immune
-  /// to both BiCGSTAB breakdown and the fp32 precision floor).  The
-  /// fallback runs with guards and further fallback off, from a zero
-  /// guess, and its result carries the degradation report.  It calls the
-  /// nested solver's attempt(), NOT solve(): the facade-level "solve"
-  /// metrics region, wall clock and summary log belong to the caller,
-  /// which finishes assembling the result (combined wall_seconds) before
-  /// anything is logged.
-  SolverResult fallback_solve(const Fermion& b, Fermion& x,
-                              const SolverResult& first) {
-    SolverParams fbp = params_;
-    fbp.algorithm = Algorithm::kCG;
-    fbp.fallback = FallbackPolicy::kNone;
-    fbp.stall_window = 0;
-    fbp.divergence_factor = 0.0;
-    fbp.verbosity = 0;
-    x.set_zero();
-    SolverResult res;
-    if (dop_ != nullptr) {
-      WilsonSolver fb(*dop_, fbp);
-      res = fb.attempt(b, x, StallGuard{});
-    } else {
-      WilsonSolver fb(*gauge_, mass_, fbp);
-      res = fb.attempt(b, x, StallGuard{});
-    }
-    res.algorithm = fbp.algorithm;
-    res.preconditioner = fbp.preconditioner;
-    res.target_residual = fbp.tolerance;
-    res.solution_norm = solution_norm(x);
-    res.fallback_used = true;
-    res.fallback_from = params_.algorithm;
-    res.first_attempt_iterations = first.iterations;
-    res.stall = first.stall;
-    return res;
-  }
-
   /// Schur CG: normal equations on Mhat over even half fields.  Static and
   /// scalar-generic because kMixedCG reuses it for the fp32 inner solve.
-  /// The optional half-field pool makes the inner CG allocation-free.
+  /// The half-field pool `kws` makes the inner CG allocation-free.
   template <class T>
   static SolverResult schur_cg(
       const qcd::SchurEvenOddWilson<T>& eo, qcd::SchurWorkspace<T>& ws,
       const qcd::LatticeFermion<T>& b, qcd::LatticeFermion<T>& x,
-      double tolerance, int max_iterations, StallGuard guard = {},
-      SolverWorkspace<qcd::HalfLatticeFermion<T>>* kws = nullptr) {
+      double tolerance, int max_iterations,
+      SolverWorkspace<qcd::HalfLatticeFermion<T>>* kws) {
     using HF = qcd::HalfLatticeFermion<T>;
     return qcd::detail::schur_half_solve(
         eo, ws, b, x, [&](const HF& b_prime, HF& x_e) {
           eo.mhat_dag(b_prime, ws.rhs);
           const auto op = [&eo](const HF& in, HF& out) { eo.mhat_dag_mhat(in, out); };
-          return conjugate_gradient(op, ws.rhs, x_e, tolerance, max_iterations,
-                                    guard, kws);
+          return conjugate_gradient(op, ws.rhs, x_e, tolerance, max_iterations, kws);
         });
   }
 
@@ -315,14 +226,13 @@ class WilsonSolver {
   static SolverResult schur_bicgstab(
       const qcd::SchurEvenOddWilson<T>& eo, qcd::SchurWorkspace<T>& ws,
       const qcd::LatticeFermion<T>& b, qcd::LatticeFermion<T>& x,
-      double tolerance, int max_iterations, StallGuard guard = {},
-      SolverWorkspace<qcd::HalfLatticeFermion<T>>* kws = nullptr) {
+      double tolerance, int max_iterations,
+      SolverWorkspace<qcd::HalfLatticeFermion<T>>* kws) {
     using HF = qcd::HalfLatticeFermion<T>;
     return qcd::detail::schur_half_solve(
         eo, ws, b, x, [&](const HF& b_prime, HF& x_e) {
           const auto op = [&eo](const HF& in, HF& out) { eo.mhat(in, out); };
-          return bicgstab(op, b_prime, x_e, tolerance, max_iterations, guard,
-                          kws);
+          return bicgstab(op, b_prime, x_e, tolerance, max_iterations, kws);
         });
   }
 
@@ -330,7 +240,7 @@ class WilsonSolver {
   /// loop wrapping an inner single-precision solve of M e = r on the
   /// converted gauge field.  params_.max_restarts caps the outer cycles;
   /// params_.inner_tolerance / inner_max_iterations tune the inner CG.
-  SolverResult mixed(const Fermion& b, Fermion& x, StallGuard guard = {}) {
+  SolverResult mixed(const Fermion& b, Fermion& x) {
     SolverResult stats;
     const double b2 = norm2(b);
     SVELAT_ASSERT_MSG(b2 > 0.0, "mixed CG needs a non-zero right-hand side");
@@ -345,20 +255,14 @@ class WilsonSolver {
     stats.residual_history.push_back(rel);
 
     while (rel > params_.tolerance && stats.iterations < params_.max_restarts) {
-      // The guard watches the OUTER (true double-precision) residual: a
-      // defect-correction cycle that stops improving it -- e.g. the inner
-      // solve returns no correction -- is a stall worth cutting short.
-      if ((stats.stall = guard.check(rel)) != StallReason::kNone) break;
       // Inner solve in single precision: M e = r (approximately).
       convert_field(r_f, r);
       e_f.set_zero();
       const SolverResult inner =
           schur() ? schur_cg(*eo_f_, *ws_f_, r_f, e_f, params_.inner_tolerance,
-                             params_.inner_max_iterations, StallGuard{},
-                             &kws_half_f_)
+                             params_.inner_max_iterations, &kws_half_f_)
                   : solve_wilson(*dirac_f_, r_f, e_f, params_.inner_tolerance,
-                                 params_.inner_max_iterations, StallGuard{},
-                                 &kws_f_);
+                                 params_.inner_max_iterations, &kws_f_);
       stats.inner_iterations += inner.iterations;
 
       // Defect correction in double precision; the residual is re-derived
@@ -385,8 +289,6 @@ class WilsonSolver {
     return stats;
   }
 
-  const qcd::GaugeField<S>* gauge_ = nullptr;  ///< null in distributed mode
-  double mass_;
   SolverParams params_;
   /// Distributed mode: the externally owned halo-exchanged operator
   /// (null for the classic gauge-field constructors).

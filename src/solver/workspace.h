@@ -1,13 +1,12 @@
 // Reusable Krylov field pool: the allocation-free solver hot path.
 //
 // Every iterative kernel in this directory (cg.h, bicgstab.h and the
-// mixed-precision defect-correction loop in solver.h) historically
-// constructed its work fields on entry, so a propagator's repeated
-// solves paid twelve rounds of large aligned allocations.  A
-// SolverWorkspace owns those fields instead: slots are constructed
-// lazily on first use and then live for the workspace lifetime, so a
-// warm solve constructs no fermion fields at all (pinned by
-// tests/solver/test_allocation.cpp through the
+// mixed-precision defect-correction loop in solver.h) takes its work
+// fields from a SolverWorkspace, so a propagator's repeated solves do
+// not pay twelve rounds of large aligned allocations: slots are
+// constructed lazily on first use and then live for the workspace
+// lifetime, so a warm solve constructs no fermion fields at all (pinned
+// by tests/solver/test_allocation.cpp through the
 // support::aligned_allocation_count() seam).
 //
 // A workspace is bound to the grid of its first use; callers that solve
@@ -59,12 +58,6 @@ class SolverWorkspace {
                         "SolverWorkspace is bound to a different grid");
     }
     return *f;
-  }
-
-  /// Drop every slot (fields are re-made on next use).  Lets a caller
-  /// re-bind the workspace to a new grid between solve campaigns.
-  void clear() {
-    for (auto& f : slots_) f.reset();
   }
 
  private:

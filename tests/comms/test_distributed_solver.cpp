@@ -34,7 +34,6 @@ namespace {
 using S = simd::SimdComplex<double, simd::kVLB256, simd::SveFcmla>;
 using Field = qcd::LatticeFermion<S>;
 using solver::Algorithm;
-using solver::FallbackPolicy;
 using solver::Preconditioner;
 using solver::SolverParams;
 using solver::SolverResult;

@@ -71,13 +71,23 @@ TEST(MeasurementJob, DecodeRejectsEveryDefectClass) {
   std::vector<std::uint8_t> truncated(good.begin(), good.begin() + 20);
   EXPECT_THROW(decode_job(truncated), io::IoError);
 
-  std::vector<std::uint8_t> bad_spin = good;
-  bad_spin[36] = 200;  // spin field: far outside [0, Ns)
-  try {
-    decode_job(bad_spin);
-    FAIL() << "out-of-range spin accepted";
-  } catch (const io::IoError& e) {
-    EXPECT_EQ(e.code(), io::IoErrorCode::kCorruptPayload);
+  // Out-of-range fields: a spin far outside [0, Ns), and a source component
+  // or iteration cap of 0xFFFFFFFF, which held as int would wrap to -1.
+  const struct {
+    std::size_t offset;
+    std::uint32_t value;
+  } out_of_range[] = {{36, 200}, {32, 0xFFFFFFFFu}, {68, 0xFFFFFFFFu}};  // spin, t, cap
+  for (const auto& f : out_of_range) {
+    SCOPED_TRACE(f.offset);
+    std::vector<std::uint8_t> bad = good;
+    for (std::size_t i = 0; i < 4; ++i)
+      bad[f.offset + i] = static_cast<std::uint8_t>(f.value >> (8 * i));
+    try {
+      decode_job(bad);
+      FAIL() << "out-of-range field accepted";
+    } catch (const io::IoError& e) {
+      EXPECT_EQ(e.code(), io::IoErrorCode::kCorruptPayload);
+    }
   }
 }
 

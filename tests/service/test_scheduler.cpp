@@ -60,6 +60,29 @@ MeasurementJob small_job(std::uint64_t id) {
   return job;
 }
 
+// --- measure_job ------------------------------------------------------------
+
+TEST(MeasureJob, SourceOutsideTheLatticeIsReportedNotSolved) {
+  // A source outside the lattice must not reach point_source (t = T would
+  // poke past the last time slice); the job reports not converged with no
+  // correlator instead of throwing, so no worker dies on it.
+  sve::set_vector_length(256);
+  lattice::GridCartesian grid({4, 4, 4, 8},
+                              lattice::GridCartesian::default_simd_layout(S::Nsimd()));
+  qcd::GaugeField<S> gauge(&grid);
+  qcd::random_gauge(SiteRNG(2018), gauge);
+  for (const lattice::Coordinate& source :
+       {lattice::Coordinate{0, 0, 0, 8}, lattice::Coordinate{-1, 0, 0, 0}}) {
+    MeasurementJob job = small_job(1);
+    job.source = source;
+    const JobResult r = measure_job(gauge, job);
+    EXPECT_EQ(r.job_id, job.job_id);
+    EXPECT_FALSE(r.converged);
+    EXPECT_EQ(r.iterations, 0u);
+    EXPECT_TRUE(r.correlator.empty());
+  }
+}
+
 // --- result records ---------------------------------------------------------
 
 TEST(JobResultRecord, RoundTripsBitwise) {

@@ -37,9 +37,7 @@ bool results_identical(const SolverResult& a, const SolverResult& b) {
          a.target_residual == b.target_residual &&
          a.final_residual == b.final_residual && a.true_residual == b.true_residual &&
          a.rhs_norm == b.rhs_norm && a.solution_norm == b.solution_norm &&
-         a.residual_history == b.residual_history && a.comm_status == b.comm_status &&
-         a.stall == b.stall && a.fallback_used == b.fallback_used &&
-         a.first_attempt_iterations == b.first_attempt_iterations;
+         a.residual_history == b.residual_history && a.comm_status == b.comm_status;
 }
 
 void expect_columns_are_independent_solves(Algorithm alg) {

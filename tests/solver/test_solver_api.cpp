@@ -9,6 +9,7 @@
 
 #include "../qcd/padded_oracle.h"
 #include "qcd/qcd.h"
+#include "support/metrics.h"
 #include "sve/sve.h"
 
 namespace svelat::solver {
@@ -140,6 +141,30 @@ TEST_F(SolverApiTest, StarvedSolveReportsNonConvergence) {
     EXPECT_EQ(res.algorithm, c.algorithm);
     EXPECT_EQ(res.preconditioner, c.preconditioner);
   }
+}
+
+TEST_F(SolverApiTest, StarvedSolveRecordsOneSolveRegionAndItsWallClock) {
+  // A failed solve is reported once: one facade call is one "solve"
+  // metrics region call (the solves-per-second figure), and the result
+  // carries the wall clock that the summary line prints.
+  const bool was_enabled = metrics::enabled();
+  metrics::set_enabled(true);
+  for (const Combo& c : kAllCombos) {
+    SCOPED_TRACE(combo_name(c));
+    metrics::reset();
+    WilsonSolver<S> solver(*gauge_, kMass, starved_params_for(c));
+    Fermion x(grid_.get());
+    x.set_zero();
+    const SolverResult res = solver.solve(*b_, x);
+    EXPECT_FALSE(res.converged);
+#if SVELAT_METRICS_ENABLED
+    EXPECT_EQ(metrics::get("solve").calls, 1u);
+#endif
+    EXPECT_GT(res.wall_seconds, 0.0);
+    EXPECT_NE(res.summary().find(" ms"), std::string::npos) << res.summary();
+  }
+  metrics::reset();
+  metrics::set_enabled(was_enabled);
 }
 
 TEST_F(SolverApiTest, RepeatedSolvesThroughOneSolverAreIndependent) {
